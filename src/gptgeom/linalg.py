@@ -40,10 +40,6 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(s)
 
 
-def format_rational(q: Fraction) -> str:
-    return str(q)
-
-
 class QVec(tuple):
     """Immutable exact rational vector.
 
@@ -110,18 +106,19 @@ def unit_vector(dim: int) -> QVec:
     return QVec([0] * (dim - 1) + [1])
 
 
+def as_integers(vec: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integers xi and the least positive scale s with vec = xi / s."""
+    s = math.lcm(*(c.denominator for c in vec))
+    return [c.numerator * (s // c.denominator) for c in vec], s
+
+
 def integerize(vec: Sequence[Fraction]) -> tuple[int, ...]:
     """Scale a rational vector by a positive factor to a primitive int vector."""
-    lcm = 1
-    for c in vec:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ints = tuple(int(c * lcm) for c in vec)
-    g = 0
-    for v in ints:
-        g = math.gcd(g, abs(v))
+    ints, _ = as_integers(vec)
+    g = math.gcd(*ints)
     if g > 1:
-        ints = tuple(v // g for v in ints)
-    return ints
+        return tuple(v // g for v in ints)
+    return tuple(ints)
 
 
 # -- exact linear solving (fraction-free) -----------------------------------

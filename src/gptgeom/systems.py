@@ -6,9 +6,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 from .geometry import (
+    Cone,
     Halfspace,
     Polytope,
     UnboundedError,
@@ -20,6 +22,7 @@ from .geometry import (
 from .linalg import (
     QVec,
     SingularMatrixError,
+    as_integers,
     invert_matrix,
     matvec,
     rank,
@@ -101,6 +104,14 @@ class EffectSpace:
             raise GptValidationError(violations)
 
     @classmethod
+    def _raw(cls, polytope: Polytope, unit: QVec) -> "EffectSpace":
+        """An effect space whose axioms were already checked."""
+        es = object.__new__(cls)
+        es.polytope = polytope
+        es.unit = unit
+        return es
+
+    @classmethod
     def from_points(cls, points: Sequence[Sequence], unit=None) -> "EffectSpace":
         return cls(hull_reduce(points), unit)
 
@@ -129,11 +140,12 @@ def _effect_axioms(polytope: Polytope, unit: QVec) -> list[Violation]:
         out.append(Violation("MissingZeroOrUnit",
                              "effect space must contain the zero and unit effects"))
     else:
-        for e in polytope.vertices:
-            if not polytope.contains(unit - e):
-                out.append(Violation("NotComplementClosed",
-                                     f"complement of {e} missing"))
-                break
+        # vertices are irredundant, so P = u - P iff vert(P) = u - vert(P)
+        verts = set(polytope.vertices)
+        missing = next((e for e in polytope.vertices if unit - e not in verts), None)
+        if missing is not None:
+            out.append(Violation("NotComplementClosed",
+                                 f"complement of {missing} missing"))
     if rank(polytope.vertices) < polytope.dim:
         out.append(Violation("DoesNotSpan",
                              "effects do not span the ambient space"))
@@ -172,12 +184,15 @@ def check_system(states: Polytope, effects: Polytope, unit: Optional[QVec] = Non
                                          f"state {w} has unit weight {u.dot(w)}"))
             break
     violations.extend(_effect_axioms(effects, u))
+    # 0 <= e.w <= 1, decided on integers: e = ie / se and w = iw / sw
+    scaled_states = [as_integers(w) for w in states.vertices]
     for e in effects.vertices:
-        for w in states.vertices:
-            p = e.dot(w)
-            if p < 0 or p > 1:
+        ie, se = as_integers(e)
+        for w, (iw, sw) in zip(states.vertices, scaled_states):
+            p = sum(map(mul, ie, iw))
+            if p < 0 or p > se * sw:
                 violations.append(Violation("EffectOutOfRange",
-                                             f"effect {e} gives probability {p} on state {w}"))
+                                             f"effect {e} gives probability {e.dot(w)} on state {w}"))
                 return violations
     return violations
 
@@ -189,7 +204,8 @@ def validate_system(states: Polytope, effects: Polytope, name: str = "",
     violations = check_system(states, effects, unit)
     if violations:
         raise GptValidationError(violations)
-    return GptSystem(StateSpace(states, unit), EffectSpace(effects, unit), name)
+    states_space = StateSpace(states, unit)
+    return GptSystem(states_space, EffectSpace._raw(effects, states_space.unit), name)
 
 
 # ---------------------------------------------------------------------------
@@ -267,14 +283,19 @@ def classify(sys: GptSystem) -> Classification:
     On the polytope backend positive cones are closed, so the almost-noisy
     relaxation coincides with the noisy class and the AlmostNuOnly tag
     cannot occur here (it is reserved for the smooth families).
+
+    Two DD passes: one for the vertices of E(S), one for the halfspaces of
+    cone(E), the dual of E's generators.  Since E lies in E(S), the cones
+    are equal iff every vertex of E(S) lies in cone(E); the first vertex
+    outside is the witness.
     """
     es = unrestricted_effects(sys.states)
     if set_equal(sys.effects.polytope, es):
         return Classification(GptClass.UNRESTRICTED)
-    effect_cone = positive_cone(sys.effects.polytope)
-    if set_equal(effect_cone, positive_cone(es)):
+    effect_cone = Cone._raw(sys.effects.polytope.vertices)
+    witness = next((v for v in es.vertices if not effect_cone.contains(v)), None)
+    if witness is None:
         return Classification(GptClass.NOISY_UNRESTRICTED)
-    witness = next(v for v in es.vertices if not effect_cone.contains(v))
     return Classification(GptClass.NOT_ALMOST_NU, witness=witness)
 
 
