@@ -36,10 +36,11 @@ from .observables import (
     mix_observables,
     noisy_observable,
 )
-from .smooth import AnuBit, NoisyRebit, Rebit, discretize, smooth_classify
+from .smooth import AnuBit, DiscretizedSystem, NoisyRebit, Rebit, discretize, smooth_classify
 from .systems import (
     EffectSpace,
     GptValidationError,
+    admits_gtt,
     check_system,
     classify,
     states_from_effects,
@@ -78,14 +79,27 @@ def _load_system(args):
     except (OSError, SchemaError) as exc:
         raise CliError(f"{path}: {exc}", 3)
     except GptValidationError as exc:
-        _print_violations(exc)
+        _print_violations(exc.violations)
         raise CliError("system failed validation", 2)
     return system, observables
 
 
-def _print_violations(exc: GptValidationError):
+def _load_exact_system(args, default_n=None):
+    """:func:`_load_system` narrowed to a GptSystem; a smooth family is
+    discretized at ``default_n`` and is an input error without one."""
+    system, extra = _load_system(args)
+    if isinstance(system, (Rebit, NoisyRebit, AnuBit)):
+        if default_n is None:
+            raise CliError(f"{args.family} has no exact vertices; give --n", 3)
+        system = discretize(system, default_n)
+    if isinstance(system, DiscretizedSystem):
+        system = system.system
+    return system, extra
+
+
+def _print_violations(violations):
     print("validation failed:")
-    for v in exc.violations:
+    for v in violations:
         print(f"  - {v.code}: {v.detail}")
 
 
@@ -117,9 +131,7 @@ def cmd_validate(args) -> int:
         raise CliError(f"schema error: {exc}", 3)
     violations = check_system(states, effects)
     if violations:
-        print("validation failed:")
-        for v in violations:
-            print(f"  - {v.code}: {v.detail}")
+        _print_violations(violations)
         return 2
     print("valid")
     return 0
@@ -131,7 +143,7 @@ def cmd_classify(args) -> int:
         result = smooth_classify(target)
         print(result.describe())
         return 0
-    if hasattr(target, "vertex_error"):  # DiscretizedSystem
+    if isinstance(target, DiscretizedSystem):
         result = target.classify()
         print(f"{result.describe()}  [polygonal approximant n={target.n}, "
               f"vertex error <= {target.vertex_error}]")
@@ -142,18 +154,14 @@ def cmd_classify(args) -> int:
 
 
 def cmd_emap(args) -> int:
-    system, _ = _load_system(args)
-    if hasattr(system, "system"):
-        system = system.system
+    system, _ = _load_exact_system(args)
     body = unrestricted_effects(system.states)
     _write_output(args, dump_canonical(polytope_to_json(body)))
     return 0
 
 
 def cmd_wmap(args) -> int:
-    system, _ = _load_system(args)
-    if hasattr(system, "system"):
-        system = system.system
+    system, _ = _load_exact_system(args)
     body = states_from_effects(system.effects)
     _write_output(args, dump_canonical(polytope_to_json(body)))
     return 0
@@ -169,9 +177,7 @@ def cmd_recover(args) -> int:
     except (SchemaError, ValueError) as exc:
         raise CliError(f"bad samples: {exc}", 3)
     args.path = None  # the system comes from --input/--family
-    system, _ = _load_system(args)
-    if hasattr(system, "system"):
-        system = system.system
+    system, _ = _load_exact_system(args)
     try:
         w = recover_state(samples, system)
     except (InconsistentSamplesError, UnderDeterminedError, NotAStateError) as exc:
@@ -192,9 +198,7 @@ def _parse_pipeline_steps(data, dim):
 
 
 def cmd_simulate(args) -> int:
-    system, loaded_obs = _load_system(args)
-    if hasattr(system, "system"):
-        system = system.system
+    system, loaded_obs = _load_exact_system(args)
     if not args.pipeline:
         raise CliError("simulate needs --pipeline <json>", 3)
     try:
@@ -235,11 +239,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    system, _ = _load_system(args)
-    if hasattr(system, "system"):
-        system = system.system
-    if isinstance(system, (Rebit, NoisyRebit, AnuBit)):
-        system = discretize(system, args.n or 64).system
+    system, _ = _load_exact_system(args, default_n=64)
     slice_at = parse_rational(args.slice) if args.slice else Fraction(1, 2)
     svg = render_system(system, slice_at=slice_at, show_cones=args.cones,
                         float_view=args.float_view)
@@ -297,10 +297,9 @@ def cmd_suite(args) -> int:
 
     ok = True
     for entry in gallery_mod.polytopic_entries():
-        system = entry.gpt_system()
-        c = classify(system)
-        direct = set_equal(states_from_effects(system.effects), system.states.polytope)
-        if c.admits_gtt != direct:
+        try:
+            admits_gtt(entry.gpt_system())  # checks the tag against W(E) = S
+        except AssertionError:
             ok = False
     print(f"[{'PASS' if ok else 'FAIL'}] classification agrees with direct state recovery")
     failures += 0 if ok else 1
@@ -352,7 +351,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=_sys.stderr)
         return exc.code
     except GptValidationError as exc:
-        _print_violations(exc)
+        _print_violations(exc.violations)
         return 2
 
 

@@ -229,7 +229,10 @@ class Polytope:
       facets are derived from the vertices on first use.
 
     Facets are never derived twice; values are immutable afterwards, so
-    instances are safe to share across threads.
+    instances are safe to share across threads.  The same holds for the
+    memos the system layer keeps (E(S) on a ``StateSpace``, the
+    classification on a ``GptSystem``): two threads that race on an empty
+    memo each compute and store an equal value, and either may win.
     """
 
     __slots__ = ("vertices", "_facets")

@@ -134,6 +134,36 @@ def _int_rows(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
     return out
 
 
+def _bareiss(m: list[Sequence[int]], n_cols: int) -> list[int]:
+    """Fraction-free (Bareiss) elimination of an integer matrix, in place.
+
+    Pivots are sought in the first ``n_cols`` columns; every column of a row
+    is eliminated, so augmented columns ride along.  Each division is exact.
+    Leaves an echelon form and returns the pivot columns, one per row of it.
+    """
+    n_rows = len(m)
+    prev = 1
+    piv_cols: list[int] = []
+    r = 0
+    for c in range(n_cols):
+        piv = next((i for i in range(r, n_rows) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        prow = m[r]
+        p = prow[c]
+        for i in range(r + 1, n_rows):
+            row = m[i]
+            f = row[c]
+            m[i] = [(x * p - f * y) // prev for x, y in zip(row, prow)]
+        prev = p
+        piv_cols.append(c)
+        r += 1
+        if r == n_rows:
+            break
+    return piv_cols
+
+
 def solve_exact(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
     """Solve A x = b exactly via fraction-free (Bareiss) elimination.
 
@@ -145,34 +175,15 @@ def solve_exact(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
         raise ValueError("no equations")
     n_cols = len(rows[0])
     m = _int_rows(rows, rhs)
-    n_rows = len(m)
-    prev = 1
-    piv_cols: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        piv = next((i for i in range(r, n_rows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        p = m[r][c]
-        for i in range(r + 1, n_rows):
-            if all(x == 0 for x in m[i]):
-                continue
-            f = m[i][c]
-            for j in range(n_cols + 1):
-                m[i][j] = (m[i][j] * p - f * m[r][j]) // prev
-        prev = p
-        piv_cols.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    for i in range(r, n_rows):
+    piv_cols = _bareiss(m, n_cols)
+    r = len(piv_cols)
+    for i in range(r, len(m)):
         if all(m[i][j] == 0 for j in range(n_cols)) and m[i][n_cols] != 0:
             return "inconsistent", None
-    if len(piv_cols) < n_cols:
+    if r < n_cols:
         return "underdetermined", None
     x = [Fraction(0)] * n_cols
-    for k in range(len(piv_cols) - 1, -1, -1):
+    for k in range(r - 1, -1, -1):
         c = piv_cols[k]
         s = Fraction(m[k][n_cols])
         for j in range(c + 1, n_cols):
@@ -187,27 +198,12 @@ def solve_exact(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of a rational matrix, exact."""
+    """Rank of a rational matrix, exact: each row is scaled to a primitive
+    integer vector, then eliminated fraction-free."""
     if not rows:
         return 0
-    m = [[as_fraction(c) for c in row] for row in rows]
-    n_rows, n_cols = len(m), len(m[0])
-    rk = 0
-    for c in range(n_cols):
-        piv = next((i for i in range(rk, n_rows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[rk], m[piv] = m[piv], m[rk]
-        p = m[rk][c]
-        for i in range(rk + 1, n_rows):
-            if m[i][c] != 0:
-                f = m[i][c] / p
-                for j in range(c, n_cols):
-                    m[i][j] -= f * m[rk][j]
-        rk += 1
-        if rk == min(n_rows, n_cols):
-            break
-    return rk
+    m = [integerize([as_fraction(c) for c in row]) for row in rows]
+    return len(_bareiss(m, len(m[0])))
 
 
 class SingularMatrixError(ValueError):

@@ -20,7 +20,7 @@ from .geometry import (
     hrep_to_vrep,
     hull_reduce,
 )
-from .linalg import QVec, rank, zero_vector
+from .linalg import QVec, zero_vector
 from .systems import (
     EffectSpace,
     GptSystem,
@@ -78,8 +78,9 @@ def random_system(rng: random.Random, dim: int, restrict: bool | None = None,
         if effects is None:
             continue
         if check_system(states.polytope, effects, states.unit):
-            continue  # a cut produced an invalid body; redraw
-        return GptSystem(states, EffectSpace(effects), name=f"random-{dim}d-restricted")
+            continue  # a cut produced an invalid body (or one that does not span); redraw
+        return GptSystem(states, EffectSpace._raw(effects, states.unit),
+                         name=f"random-{dim}d-restricted")
 
 
 def _shrink_effects(rng: random.Random, full: Polytope, unit: QVec,
@@ -100,8 +101,4 @@ def _shrink_effects(rng: random.Random, full: Polytope, unit: QVec,
         closed = hrep_to_vrep(constraints + reflected)
     except (EmptyIntersectionError, UnboundedError):
         return None
-    pts = list(closed.vertices) + [zero_vector(dim), unit]
-    body = hull_reduce(pts)
-    if rank(body.vertices) < dim:
-        return None
-    return body
+    return hull_reduce(list(closed.vertices) + [zero_vector(dim), unit])

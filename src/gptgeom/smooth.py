@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from .geometry import Polytope, hull_reduce
+from .geometry import Polytope, SelfCheckError, hull_reduce
 from .linalg import DimensionMismatchError, QVec, as_fraction, qvec
 from .systems import (
     Classification,
@@ -171,7 +171,8 @@ def cone_nonclosure_certificate(family: AnuBit, delta) -> ConeNonClosureCertific
     effect = qvec(scale, scale * t)
     cert = ConeNonClosureCertificate(delta=delta, effect=effect,
                                      boundary_ray=family.boundary_ray())
-    assert cert.verify(family)
+    if not cert.verify(family):
+        raise SelfCheckError(f"cone non-closure certificate fails for delta {delta}")
     return cert
 
 
@@ -237,7 +238,8 @@ def disc_polygon_states(n: int) -> Polytope:
     for k in range(n):
         x, y = circle_point(k, n)
         pts.append(qvec(x, y, 1))
-    assert len(set(pts)) == n
+    if len(set(pts)) != n:
+        raise SelfCheckError(f"canonical circle points of the {n}-gon coincide")
     return hull_reduce(pts)
 
 

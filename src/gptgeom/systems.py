@@ -4,7 +4,7 @@ and the classification that decides whether frame functions pin down states.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 from typing import Optional, Sequence
@@ -13,6 +13,7 @@ from .geometry import (
     Cone,
     Halfspace,
     Polytope,
+    SelfCheckError,
     UnboundedError,
     hrep_to_vrep,
     hull_reduce,
@@ -52,13 +53,19 @@ class StateSpace:
     In the standard representation the unit functional is (0,...,0,1), so
     states carry a trailing coordinate 1.  Linearly transformed systems
     carry their own unit vector instead.
+
+    The full effect body E(S) depends on S alone: :func:`unrestricted_effects`
+    derives it on first use and keeps it in ``_effect_body``, so every later
+    caller (the classification, the GTT verdict, the CLI) reads the same
+    polytope.  An unbounded E(S) raises each time and is not stored.
     """
 
-    __slots__ = ("polytope", "unit")
+    __slots__ = ("polytope", "unit", "_effect_body")
 
     def __init__(self, polytope: Polytope, unit: Optional[QVec] = None):
         self.polytope = polytope
         self.unit = QVec(unit) if unit is not None else unit_vector(polytope.dim)
+        self._effect_body = None
         bad = [v for v in polytope.vertices if self.unit.dot(v) != 1]
         if bad:
             raise GptValidationError(
@@ -154,11 +161,18 @@ def _effect_axioms(polytope: Polytope, unit: QVec) -> list[Violation]:
 
 @dataclass(frozen=True)
 class GptSystem:
-    """A validated (state space, effect space) pair."""
+    """A validated (state space, effect space) pair.
+
+    :func:`classify` stores its result in ``_classification`` on first use;
+    the field takes no part in equality, hashing or the repr, so a
+    classified system compares and prints as before.
+    """
 
     states: StateSpace
     effects: EffectSpace
     name: str = ""
+    _classification: Optional["Classification"] = field(
+        default=None, init=False, compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -225,14 +239,20 @@ def effect_constraints(states: StateSpace) -> list[Halfspace]:
 
 def unrestricted_effects(states: StateSpace) -> Polytope:
     """The largest effect space compatible with S (dual cone intersected
-    with its unit-shifted reflection), as an exact polytope."""
-    try:
-        return hrep_to_vrep(effect_constraints(states))
-    except UnboundedError:
-        raise UnboundedError(
-            "unrestricted effect body is unbounded: states do not affinely "
-            "span the unit hyperplane (fiducial set is not minimal)"
-        )
+    with its unit-shifted reflection), as an exact polytope.
+
+    Derived once per state space and kept on it; later calls return the
+    same object.
+    """
+    if states._effect_body is None:
+        try:
+            states._effect_body = hrep_to_vrep(effect_constraints(states))
+        except UnboundedError:
+            raise UnboundedError(
+                "unrestricted effect body is unbounded: states do not affinely "
+                "span the unit hyperplane (fiducial set is not minimal)"
+            )
+    return states._effect_body
 
 
 def state_constraints(effects: EffectSpace) -> list[Halfspace]:
@@ -284,11 +304,21 @@ def classify(sys: GptSystem) -> Classification:
     relaxation coincides with the noisy class and the AlmostNuOnly tag
     cannot occur here (it is reserved for the smooth families).
 
-    Two DD passes: one for the vertices of E(S), one for the halfspaces of
-    cone(E), the dual of E's generators.  Since E lies in E(S), the cones
-    are equal iff every vertex of E(S) lies in cone(E); the first vertex
-    outside is the witness.
+    At most two DD passes: one for the vertices of E(S), unless the state
+    space already holds them, and one for the halfspaces of cone(E), the
+    dual of E's generators.  Since E lies in E(S), the cones are equal iff
+    every vertex of E(S) lies in cone(E); the first vertex outside is the
+    witness.
+
+    The result is stored on the system, so a second call, or
+    :func:`admits_gtt` afterwards, makes no pass and returns the same object.
     """
+    if sys._classification is None:
+        object.__setattr__(sys, "_classification", _classify(sys))
+    return sys._classification
+
+
+def _classify(sys: GptSystem) -> Classification:
     es = unrestricted_effects(sys.states)
     if set_equal(sys.effects.polytope, es):
         return Classification(GptClass.UNRESTRICTED)
@@ -303,7 +333,10 @@ def admits_gtt(sys: GptSystem) -> bool:
     """Whether every frame function on E comes from a state in S.
 
     Computed twice: from the classification tag and from the direct
-    recovered-states equality W(E) = S; the two routes must agree.
+    recovered-states equality W(E) = S; the two routes must agree.  The tag
+    is read from the stored classification; W(E) is deliberately not
+    stored, so each call re-derives it (one DD pass) and the cross-check
+    stays independent of every memo.
     """
     via_tag = classify(sys).admits_gtt
     via_w = set_equal(states_from_effects(sys.effects), sys.states.polytope)
@@ -378,5 +411,6 @@ def decompose_in_cone(c: QVec, effects: EffectSpace) -> tuple[QVec, QVec]:
             raise RuntimeError("interior point search failed")
     a = (e0 + c * eps) * (1 / eps)
     b = e0 * (1 / eps)
-    assert cone.contains(a) and cone.contains(b) and a - b == c
+    if not (cone.contains(a) and cone.contains(b) and a - b == c):
+        raise SelfCheckError(f"cone decomposition of {c} is not c = a - b in the cone")
     return a, b

@@ -217,6 +217,16 @@ def test_cli_smooth_family_flags(capsys):
     assert "polygonal approximant" in capsys.readouterr().out
 
 
+def test_cli_smooth_family_needs_n_for_exact_verbs(tmp_path, capsys):
+    assert main(["emap", "--family", "rebit"]) == 3
+    assert "--n" in capsys.readouterr().err
+    assert main(["emap", "--family", "rebit", "--n", "8"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["vertices"]) == 2 * 8 + 2
+    out = tmp_path / "rebit.svg"
+    assert main(["plot", "--family", "rebit", "--output", str(out)]) == 0
+    assert "polygon" in out.read_text()
+
+
 def test_cli_classify_agrees_on_every_gallery_entry(capsys):
     from gptgeom.gallery import NAMES
     for name in NAMES:

@@ -1,6 +1,7 @@
 """The incidence-reporting DD kernel and the paths built on it: pass counts,
-self-checks that survive ``python -O``, and drawn inputs against the
-``lp.py`` oracle and the Fraction halfspace route."""
+the memoized E(S) and classification, self-checks that survive
+``python -O``, and drawn inputs against the ``lp.py`` oracle and the
+Fraction halfspace route."""
 import os
 import subprocess
 import sys
@@ -11,11 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gptgeom import geometry, systems
+from gptgeom import geometry, smooth, systems
 from gptgeom.gallery import load
 from gptgeom.geometry import (
     Halfspace,
     SelfCheckError,
+    UnboundedError,
     hrep_to_vrep,
     hull_reduce,
     positive_cone,
@@ -24,9 +26,13 @@ from gptgeom.geometry import (
 )
 from gptgeom.linalg import QVec, integerize, qvec
 from gptgeom.lp import hull_vertices_lp, in_cone, in_convex_hull
+from gptgeom.smooth import AnuBit, Rebit, discretize
 from gptgeom.systems import (
     GptClass,
+    StateSpace,
+    admits_gtt,
     classify,
+    decompose_in_cone,
     unrestricted_effects,
     validate_system,
 )
@@ -75,11 +81,17 @@ def test_dd_masks_with_lineality():
 # -- pass counts -------------------------------------------------------------------
 
 
+def _fresh(sys):
+    """A newly validated copy: no E(S) or classification stored yet."""
+    return validate_system(sys.states.polytope, sys.effects.polytope, sys.name, sys.unit)
+
+
 def test_classify_makes_at_most_two_passes(dd_calls, gallery_systems):
     for name, sys in gallery_systems:
+        sys = _fresh(sys)
         del dd_calls[:]
         classify(sys)
-        assert len(dd_calls) <= 2, name
+        assert 1 <= len(dd_calls) <= 2, name
 
 
 def test_hull_reduce_makes_one_pass(dd_calls):
@@ -105,6 +117,72 @@ def test_full_dimensional_hrep_keeps_facets(dd_calls):
         body.facets
         assert body.contains(sys.unit)
         assert dd_calls == []
+
+
+# -- memoized E(S) and classification --------------------------------------------
+
+
+def test_discretized_system_derives_es_once(dd_calls):
+    sys = discretize(Rebit(), 16).system
+    del dd_calls[:]
+    assert classify(sys).tag is GptClass.UNRESTRICTED
+    assert admits_gtt(sys)
+    assert unrestricted_effects(sys.states) == sys.effects.polytope
+    assert len(dd_calls) == 1  # W(E), inside admits_gtt
+
+
+def test_classification_is_stored(dd_calls, gallery_systems):
+    for name, sys in gallery_systems:
+        sys = _fresh(sys)
+        first = classify(sys)
+        del dd_calls[:]
+        assert classify(sys) is first, name
+        assert dd_calls == [], name
+
+
+def test_admits_gtt_derives_w_on_every_call(dd_calls):
+    sys = _fresh(load("spekkens").gpt_system())
+    classify(sys)
+    for _ in range(2):
+        del dd_calls[:]
+        assert admits_gtt(sys) is False
+        assert len(dd_calls) == 1
+
+
+def test_admits_gtt_catches_a_wrong_stored_tag():
+    sys = _fresh(load("spekkens").gpt_system())
+    object.__setattr__(sys, "_classification", systems.Classification(GptClass.UNRESTRICTED))
+    with pytest.raises(AssertionError):
+        admits_gtt(sys)
+
+
+def test_classified_system_compares_and_prints_the_same():
+    sys = _fresh(load("noisy-bit").gpt_system())
+    twin = systems.GptSystem(sys.states, sys.effects, sys.name)  # same parts, unclassified
+    before = (hash(sys), repr(sys))
+    classify(sys)
+    assert sys._classification is not None and twin._classification is None
+    assert sys == twin and (hash(sys), repr(sys)) == before == (hash(twin), repr(twin))
+
+
+def test_effect_body_is_stored_per_state_space(dd_calls):
+    sys = load("squit").gpt_system()
+    states = StateSpace(sys.states.polytope)
+    del dd_calls[:]
+    body = unrestricted_effects(states)
+    assert unrestricted_effects(states) is body and len(dd_calls) == 1
+    # another state space over the same polytope derives its own
+    assert unrestricted_effects(StateSpace(sys.states.polytope)) == body
+    assert len(dd_calls) == 2
+
+
+def test_unbounded_effect_body_is_not_stored(dd_calls):
+    single = StateSpace(hull_reduce([qvec(F(1, 2), 1)]))
+    del dd_calls[:]
+    for _ in range(2):
+        with pytest.raises(UnboundedError):
+            unrestricted_effects(single)
+    assert single._effect_body is None and len(dd_calls) == 2
 
 
 def test_validate_checks_effect_axioms_once(monkeypatch):
@@ -136,6 +214,36 @@ def test_hull_self_check_catches_a_wrong_facet(monkeypatch):
     monkeypatch.setattr(geometry, "_dd", _negate_first_ray(geometry._dd))
     with pytest.raises(SelfCheckError):
         hull_reduce([qvec(0, 0), qvec(1, 0), qvec(0, 1), qvec(1, 1)])
+
+
+class _ConeThatForgets:
+    """Contains the first point asked about and nothing afterwards."""
+
+    def __init__(self):
+        self.asked = 0
+
+    def contains(self, x):
+        self.asked += 1
+        return self.asked == 1
+
+
+class _AnuBitWithACoveredRay(AnuBit):
+    def boundary_ray(self):
+        return qvec(0, 1)  # inside the effect cone, so not a missing ray
+
+
+def test_explicit_self_checks_raise(monkeypatch):
+    sys = load("squit").gpt_system()
+    with monkeypatch.context() as m:
+        m.setattr(systems, "positive_cone", lambda p: _ConeThatForgets())
+        with pytest.raises(SelfCheckError):
+            decompose_in_cone(qvec(1, 0, 0), sys.effects)
+    with pytest.raises(SelfCheckError):
+        smooth.cone_nonclosure_certificate(_AnuBitWithACoveredRay(), F(1, 10))
+    with monkeypatch.context() as m:
+        m.setattr(smooth, "circle_point", lambda j, n: (F(1), F(0)))
+        with pytest.raises(SelfCheckError):
+            smooth.disc_polygon_states(8)
 
 
 def test_hull_self_check_survives_optimized_mode():

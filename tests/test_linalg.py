@@ -2,6 +2,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gptgeom.linalg import (
     DimensionMismatchError,
@@ -78,3 +80,61 @@ def test_matrix_ops():
     assert rank([[1, 2], [2, 4]]) == 1
     with pytest.raises(SingularMatrixError):
         invert_matrix([[1, 2], [2, 4]])
+
+
+# -- integer rank against the Fraction route ---------------------------------------
+
+
+def fraction_rank(rows):
+    """Rank by Gauss elimination over Fractions: the oracle for ``rank``."""
+    if not rows:
+        return 0
+    m = [[F(c) for c in row] for row in rows]
+    n_rows, n_cols = len(m), len(m[0])
+    rk = 0
+    for c in range(n_cols):
+        piv = next((i for i in range(rk, n_rows) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[rk], m[piv] = m[piv], m[rk]
+        p = m[rk][c]
+        for i in range(rk + 1, n_rows):
+            if m[i][c] != 0:
+                f = m[i][c] / p
+                for j in range(c, n_cols):
+                    m[i][j] -= f * m[rk][j]
+        rk += 1
+        if rk == min(n_rows, n_cols):
+            break
+    return rk
+
+
+small = st.builds(F, st.integers(-4, 4), st.sampled_from([1, 2, 3, 7]))
+
+
+@st.composite
+def rational_matrices(draw):
+    """Rows drawn freely, then (often) more rows that are rational
+    combinations of them, so rank-deficient matrices are common."""
+    n_cols = draw(st.integers(1, 6))
+    row = st.lists(small, min_size=n_cols, max_size=n_cols)
+    basis = draw(st.lists(row, min_size=1, max_size=5))
+    combos = draw(st.lists(st.lists(small, min_size=len(basis), max_size=len(basis)),
+                           max_size=6))
+    rows = basis + [[sum((w * b[j] for w, b in zip(ws, basis)), F(0)) for j in range(n_cols)]
+                    for ws in combos]
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(rational_matrices())
+def test_integer_rank_matches_fraction_rank(rows):
+    assert rank(rows) == fraction_rank(rows)
+    assert rank([qvec(*r) for r in rows]) == fraction_rank(rows)
+
+
+def test_rank_edge_cases():
+    assert rank([]) == 0
+    assert rank([[0, 0], [0, 0]]) == 0
+    assert rank([[F(1, 2), 1], [3, F(1, 3)], [F(7, 2), F(4, 3)]]) == 2
+    assert rank([["1/2", "1/3"], [3, 2]]) == 1

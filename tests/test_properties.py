@@ -1,6 +1,7 @@
 """Property suites: the cone identities, the duality-map laws relating
 effect and state bodies, transform invariance, observable algebra and
 frame-function recovery, on gallery plus randomly generated systems."""
+import hashlib
 import random
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ from gptgeom.observables import (
     mix_observables,
     noisy_observable,
 )
-from gptgeom.randomgen import random_state_space
+from gptgeom.randomgen import random_state_space, random_system
 from gptgeom.systems import (
     EffectSpace,
     Transform,
@@ -263,3 +264,27 @@ def test_additivity_of_recovered_functionals(rng):
             assert e1.dot(w) + e2.dot(w) == (e1 + e2).dot(w)
             assert (e1 * F(1, 2)).dot(w) == e1.dot(w) / 2
             checked += 1
+
+
+# -- the random generator's draws are pinned ----------------------------------------
+
+
+def _fingerprint(systems):
+    h = hashlib.sha256()
+    for s in systems:
+        for body in (s.states.polytope, s.effects.polytope):
+            h.update(repr([tuple(map(str, v)) for v in body.vertices]).encode())
+        h.update(s.name.encode())
+    return h.hexdigest()[:16]
+
+
+def test_random_systems_are_the_same_draws(random_systems):
+    """Vertices and names of the conftest systems, and of restricted draws
+    (seeds 17 and 27 at dimension 2 redraw a cut body that does not span),
+    as the generator gave them when it still validated each body twice."""
+    assert _fingerprint(random_systems) == "f54744b9e22a4a6f"
+    gen = random.Random(20260810)  # conftest.SEED
+    restricted = [random_system(gen, d, restrict=True) for d in (2, 3, 3, 4, 4, 5)]
+    assert _fingerprint(restricted) == "d705b21ca39e60c0"
+    redrawn = [random_system(random.Random(s), 2, restrict=True) for s in (17, 27)]
+    assert _fingerprint(redrawn) == "c4cab68a02a020ee"
