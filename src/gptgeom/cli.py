@@ -28,7 +28,7 @@ from .io import (
     system_from_json,
     system_to_json,
 )
-from .linalg import parse_rational
+from .linalg import ExactArithmeticError, parse_rational
 from .observables import (
     Observable,
     coarse_grain,
@@ -214,6 +214,10 @@ def cmd_simulate(args) -> int:
             table.setdefault(label, o)
     try:
         for step in steps:
+            if not (isinstance(step, dict) and len(step) == 1
+                    and isinstance(next(iter(step.values())), dict)):
+                raise CliError(f"pipeline step {step!r} is not a one-key object "
+                               f"holding an object", 3)
             (op, params), = step.items()
             out_label = params["as"]
             if op == "mix":
@@ -232,8 +236,7 @@ def cmd_simulate(args) -> int:
     for label in labels:
         o = table[label]
         out["results"].append(observable_to_json(label, o))
-        if len(o) <= 16:
-            out["valid_observable"][label] = is_observable(o.outcomes, system)
+        out["valid_observable"][label] = is_observable(o.outcomes, system)
     _write_output(args, dump_canonical(out))
     return 0
 
@@ -353,6 +356,9 @@ def main(argv=None) -> int:
     except GptValidationError as exc:
         _print_violations(exc.violations)
         return 2
+    except (ValueError, ExactArithmeticError) as exc:
+        print(f"error: {exc}", file=_sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -112,9 +112,10 @@ def samples_from_json(d: dict) -> FrameSamples:
         raise SchemaError("frame-sample object needs a 'samples' list")
     pairs = []
     for entry in d["samples"]:
-        if "effect" not in entry or "value" not in entry:
+        if not isinstance(entry, dict) or "effect" not in entry or "value" not in entry:
             raise SchemaError("each sample needs 'effect' and 'value'")
-        pairs.append((_vector(entry["effect"]), _scalar(entry["value"])))
+        dim = len(pairs[0][0]) if pairs else None
+        pairs.append((_vector(entry["effect"], dim), _scalar(entry["value"])))
     return FrameSamples(pairs)
 
 

@@ -123,17 +123,6 @@ def integerize(vec: Sequence[Fraction]) -> tuple[int, ...]:
 
 # -- exact linear solving (fraction-free) -----------------------------------
 
-def _int_rows(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
-    out = []
-    for row, b in zip(rows, rhs):
-        lcm = 1
-        for c in list(row) + [b]:
-            c = as_fraction(c)
-            lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-        out.append([int(as_fraction(c) * lcm) for c in row] + [int(as_fraction(b) * lcm)])
-    return out
-
-
 def _bareiss(m: list[Sequence[int]], n_cols: int) -> list[int]:
     """Fraction-free (Bareiss) elimination of an integer matrix, in place.
 
@@ -164,6 +153,19 @@ def _bareiss(m: list[Sequence[int]], n_cols: int) -> list[int]:
     return piv_cols
 
 
+def _back_substitute(m: list[list[int]], n: int, b: int) -> list[Fraction]:
+    """Solution x of the first n rows of an echelon form whose pivots sit
+    on the diagonal, with column b as the right-hand side."""
+    x = [Fraction(0)] * n
+    for k in range(n - 1, -1, -1):
+        row = m[k]
+        s = Fraction(row[b])
+        for j in range(k + 1, n):
+            s -= row[j] * x[j]
+        x[k] = s / row[k]
+    return x
+
+
 def solve_exact(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
     """Solve A x = b exactly via fraction-free (Bareiss) elimination.
 
@@ -174,21 +176,15 @@ def solve_exact(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
     if not rows:
         raise ValueError("no equations")
     n_cols = len(rows[0])
-    m = _int_rows(rows, rhs)
-    piv_cols = _bareiss(m, n_cols)
-    r = len(piv_cols)
+    m = [as_integers([as_fraction(c) for c in row] + [as_fraction(b)])[0]
+         for row, b in zip(rows, rhs)]
+    r = len(_bareiss(m, n_cols))
     for i in range(r, len(m)):
         if all(m[i][j] == 0 for j in range(n_cols)) and m[i][n_cols] != 0:
             return "inconsistent", None
     if r < n_cols:
         return "underdetermined", None
-    x = [Fraction(0)] * n_cols
-    for k in range(r - 1, -1, -1):
-        c = piv_cols[k]
-        s = Fraction(m[k][n_cols])
-        for j in range(c + 1, n_cols):
-            s -= m[k][j] * x[j]
-        x[c] = s / m[k][c]
+    x = _back_substitute(m, n_cols, n_cols)
     # Bareiss leaves an echelon form with fill above pivots; verify against
     # the original system to also catch inconsistent overdetermined input.
     for row, b in zip(rows, rhs):
@@ -211,24 +207,18 @@ class SingularMatrixError(ValueError):
 
 
 def invert_matrix(rows: Sequence[Sequence[Fraction]]) -> tuple[QVec, ...]:
-    """Exact inverse of a square rational matrix (Gauss-Jordan)."""
+    """Exact inverse of a square rational matrix: Bareiss elimination of
+    [A | I], each row scaled to integers, then one back-substitution per
+    column of the identity."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise DimensionMismatchError("matrix is not square")
-    a = [[as_fraction(c) for c in row] + [Fraction(int(i == j)) for j in range(n)]
+    m = [as_integers([as_fraction(c) for c in row] + [Fraction(int(i == j)) for j in range(n)])[0]
          for i, row in enumerate(rows)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if piv is None:
-            raise SingularMatrixError("matrix is singular")
-        a[c], a[piv] = a[piv], a[c]
-        p = a[c][c]
-        a[c] = [x / p for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return tuple(QVec(row[n:]) for row in a)
+    if len(_bareiss(m, n)) < n:
+        raise SingularMatrixError("matrix is singular")
+    cols = [_back_substitute(m, n, n + j) for j in range(n)]
+    return tuple(QVec(row) for row in zip(*cols))
 
 
 def transpose(rows: Sequence[Sequence[Fraction]]) -> tuple[QVec, ...]:
@@ -237,24 +227,3 @@ def transpose(rows: Sequence[Sequence[Fraction]]) -> tuple[QVec, ...]:
 
 def matvec(rows: Sequence[QVec], x: QVec) -> QVec:
     return QVec(QVec(r).dot(x) for r in rows)
-
-
-def determinant(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    n = len(rows)
-    m = [[as_fraction(c) for c in row] for row in rows]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        p = m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] / p
-                for j in range(c, n):
-                    m[i][j] -= f * m[c][j]
-    return det

@@ -4,14 +4,11 @@ combinators: added noise, classical mixing and outcome coarse-graining.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Sequence
 
-from .linalg import QVec, as_fraction, zero_vector
+from .linalg import QVec, as_fraction, as_integers, zero_vector
 from .systems import GptSystem
-
-
-class TooManyOutcomesError(ValueError):
-    pass
 
 
 class ProbabilityOutOfRangeError(ValueError):
@@ -24,9 +21,6 @@ class WeightsNotNormalizedError(ValueError):
 
 class InvalidPartitionError(ValueError):
     pass
-
-
-MAX_SUBSET_CHECK = 16  # subset-sum validation is 2^n
 
 
 @dataclass(frozen=True)
@@ -62,27 +56,26 @@ class Observable:
 
 
 def is_observable(outcomes: Sequence[Sequence], sys: GptSystem) -> bool:
-    """Exact check that the tuple sums to the unit and that every outcome
-    subset coarse-grains to an effect of the system."""
+    """Exact check that the tuple sums to the unit and that every
+    coarse-graining (the sum over a nonempty outcome subset) is an effect.
+
+    One pass per facet a.x >= c of the effect body, linear in the number of
+    outcomes: over the nonempty subset sums s, the least a.s is the sum of
+    the negative a.e_j, or min_j a.e_j when none is negative.
+    """
     effects = [QVec(e) for e in outcomes]
-    n = len(effects)
-    if n > MAX_SUBSET_CHECK:
-        raise TooManyOutcomesError(
-            f"subset-sum validation is exponential; at most {MAX_SUBSET_CHECK} outcomes"
-        )
     total = effects[0]
     for e in effects[1:]:
         total = total + e
     if total != sys.unit:
         return False
     dim = sys.dim
-    body = sys.effects.polytope
-    for mask in range(1, 1 << n):
-        s = zero_vector(dim)
-        for j in range(n):
-            if mask >> j & 1:
-                s = s + effects[j]
-        if not body.contains(s):
+    flat, s = as_integers([c for e in effects for c in e])
+    ints = [flat[k:k + dim] for k in range(0, len(flat), dim)]
+    for h in sys.effects.polytope.facets:
+        vals = [sum(map(mul, h.inormal, xi)) for xi in ints]
+        neg = sum(v for v in vals if v < 0)
+        if (neg if neg < 0 else min(vals)) < h.ioffset * s:
             return False
     return True
 

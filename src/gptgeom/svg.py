@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 
 from .geometry import Halfspace, Polytope, hrep_to_vrep, positive_cone, EmptyIntersectionError
-from .linalg import QVec, rank
+from .linalg import QVec, as_integers
 from .systems import GptSystem
 
 _PANEL = 260
@@ -63,16 +64,19 @@ def slice_polytope(p: Polytope, value: Fraction) -> list[QVec]:
 
 
 def polytope_edges(vertices: list[QVec], facets: list[Halfspace]) -> list[tuple[int, int]]:
-    """Vertex index pairs forming edges, via tight-facet rank."""
-    dim = len(vertices[0])
-    tight = []
+    """Vertex index pairs forming edges: a pair is an edge iff some facet is
+    tight on both and no third vertex is tight on every facet they share."""
+    masks = []
     for v in vertices:
-        tight.append([i for i, h in enumerate(facets) if h.evaluate(v) == 0])
+        xi, s = as_integers(v)
+        masks.append(sum(1 << k for k, h in enumerate(facets)
+                         if sum(map(mul, h.inormal, xi)) == h.ioffset * s))
     edges = []
     for i in range(len(vertices)):
         for j in range(i + 1, len(vertices)):
-            common = [facets[k].normal for k in tight[i] if k in set(tight[j])]
-            if common and rank(common) >= dim - 1:
+            common = masks[i] & masks[j]
+            if common and not any(m & common == common for k, m in enumerate(masks)
+                                  if k != i and k != j):
                 edges.append((i, j))
     return edges
 

@@ -234,3 +234,42 @@ def test_cli_classify_agrees_on_every_gallery_entry(capsys):
         out = capsys.readouterr().out.strip()
         expected = load(name).classify().describe()
         assert out.startswith(expected.split(";")[0])
+
+
+def test_cli_simulate_reports_seventeen_outcomes(tmp_path, capsys):
+    # noisy-bit(1/2): E is the hexagon with vertices 0, u, (+-1/4, 1/4), (+-1/4, 3/4)
+    valid = [[f"1/{4 * 8}", f"1/{4 * 8}"]] * 8 + [[f"-1/{4 * 9}", f"3/{4 * 9}"]] * 9
+    # every outcome is an effect, but the first two sum to (-1/2, 1/2), outside E
+    invalid = [["-1/4", "1/4"]] * 2 + [["1/30", "1/30"]] * 15
+    ppath = tmp_path / "pipe.json"
+    ppath.write_text(json.dumps({"observables": {"V": valid, "W": invalid}}))
+    assert main(["simulate", "--family", "noisy-bit", "--p", "1/2",
+                 "--pipeline", str(ppath)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [len(e["outcomes"]) for e in doc["results"]] == [17, 17]
+    assert doc["valid_observable"] == {"V": True, "W": False}
+
+
+def _assert_input_error(capsys, argv):
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_cli_malformed_input_exits_3(tmp_path, capsys):
+    ppath = tmp_path / "pipe.json"
+    ppath.write_text(json.dumps({"steps": ["mix"]}))
+    _assert_input_error(capsys, ["simulate", "--family", "bit", "--pipeline", str(ppath)])
+    spath = tmp_path / "samples.json"
+    spath.write_text(json.dumps({"samples": [{"effect": ["1", "0"], "value": "1/2"},
+                                             {"effect": ["1"], "value": "1/2"}]}))
+    _assert_input_error(capsys, ["recover", str(spath), "--family", "bit"])
+    _assert_input_error(capsys, ["classify", "--family", "noisy-rebit", "--p", "2"])
+    _assert_input_error(capsys, ["classify", "--family", "noisy-bit", "--p", "2"])
+    _assert_input_error(capsys, ["classify", "--family", "noisy-bit", "--p", "0.5"])
+
+
+def test_samples_of_mixed_length_rejected():
+    with pytest.raises(SchemaError):
+        samples_from_json({"samples": [{"effect": ["1", "0"], "value": "1/2"},
+                                       {"effect": ["1"], "value": "1/2"}]})
