@@ -1,11 +1,17 @@
 import random
 
 import pytest
+from hypothesis import settings
 
 from gptgeom.gallery import polytopic_entries
 from gptgeom.randomgen import random_system
 
 SEED = 20260810
+
+# Every property test is reproducible and untimed: a fixed example sequence,
+# no example database, no per-example deadline.  Tests set only max_examples.
+settings.register_profile("gptgeom", deadline=None, derandomize=True, database=None)
+settings.load_profile("gptgeom")
 
 
 @pytest.fixture(scope="session")

@@ -1,10 +1,20 @@
 """Wire formats and the command-line front end."""
+import contextlib
+import copy
+import io
 import json
+import os
+import subprocess
+import sys
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gptgeom.cli import main
+import gptgeom
+from gptgeom.cli import build_parser, main
 from gptgeom.gallery import load, polytopic_entries
 from gptgeom.io import (
     SchemaError,
@@ -267,9 +277,135 @@ def test_cli_malformed_input_exits_3(tmp_path, capsys):
     _assert_input_error(capsys, ["classify", "--family", "noisy-rebit", "--p", "2"])
     _assert_input_error(capsys, ["classify", "--family", "noisy-bit", "--p", "2"])
     _assert_input_error(capsys, ["classify", "--family", "noisy-bit", "--p", "0.5"])
+    for pipeline in ({"emit": ["nope"]},
+                     {"observables": {"A": 5}},
+                     {"observables": {"A": [["1/2", "1/2"], ["-1/2", "1/2"]]},
+                      "steps": [{"mix": {"terms": 5, "as": "B"}}]}):
+        ppath.write_text(json.dumps(pipeline))
+        _assert_input_error(capsys, ["simulate", "--family", "bit", "--pipeline", str(ppath)])
 
 
 def test_samples_of_mixed_length_rejected():
     with pytest.raises(SchemaError):
         samples_from_json({"samples": [{"effect": ["1", "0"], "value": "1/2"},
                                        {"effect": ["1"], "value": "1/2"}]})
+
+
+# -- one parser per process -----------------------------------------------------
+
+
+def _fresh_run(argv):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gptgeom.__file__)))
+    run = subprocess.run([sys.executable, "-m", "gptgeom.cli", *argv], env=env,
+                         capture_output=True, text=True, check=False)
+    return run.returncode, run.stdout
+
+
+def test_cli_parser_reuse_keeps_no_state(capsys):
+    assert main(["emap", "--family", "rebit", "--n", "8"]) == 0
+    assert main(["emap", "--family", "rebit"]) == 3
+    capsys.readouterr()
+    for argv in (["classify", "--family", "noisy-bit", "--p", "1/3"],
+                 ["classify", "--family", "noisy-bit"]):
+        code = main(argv)
+        assert (code, capsys.readouterr().out) == _fresh_run(argv)
+    assert build_parser() is build_parser()
+    assert build_parser.cache_info().misses == 1
+
+
+def test_every_verb_takes_every_shared_option():
+    argv = ["x", "--input", "i", "--output", "o", "--family", "f", "--p", "1/2",
+            "--n", "3", "--slice", "1/4", "--pipeline", "pl", "--cones", "--float-view"]
+    for verb in ("validate", "classify", "emap", "wmap", "recover", "simulate",
+                 "plot", "gallery", "suite"):
+        args = build_parser().parse_args([verb, *argv])
+        assert args.func.__name__ == f"cmd_{verb}"
+        assert (args.path, args.input, args.output, args.family, args.p, args.n,
+                args.slice, args.pipeline, args.cones, args.float_view) == \
+            ("x", "i", "o", "f", "1/2", 3, "1/4", "pl", True, True)
+
+
+# -- fuzzing the input documents ------------------------------------------------
+
+_DOCS = {
+    "system": system_to_json(load("bit").gpt_system(), load("bit").observables),
+    "pipeline": {
+        "observables": {"E": [["1/4", "0"], ["0", "1/4"], ["-1/4", "3/4"]]},
+        "steps": [
+            {"mix": {"terms": [["E", "1/3"], ["B", "2/3"]], "as": "M"}},
+            {"coarse": {"of": "M", "blocks": [[0, 1], [2]], "as": "G"}},
+            {"noisy": {"of": "G", "p": "1/2", "as": "Gn"}},
+        ],
+        "emit": ["G", "Gn"],
+    },
+    "samples": {"samples": [{"effect": ["1", "0"], "value": "0"},
+                            {"effect": ["-1/2", "1/2"], "value": "1/2"},
+                            {"effect": ["1/2", "1/2"], "value": "1/2"}]},
+}
+_JUNK = (5, -1, 0, "x", "1/0", "", True, None, 0.5, [], {}, [[]], {"a": "1"}, ["1"])
+
+
+def _paths(node, path=()):
+    """Every path into a JSON document, the root first."""
+    yield path
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def _mutated_docs(draw):
+    """The three documents, one of them hit by one to three mutations:
+    a dropped key or element, a value of the wrong type, a float scalar, a
+    list one entry longer or shorter (ragged vertices), or a container
+    swapped between list and object.  The depth of a mutation is drawn
+    first, so the few top-level keys are hit as often as the many
+    coordinates."""
+    docs = copy.deepcopy(_DOCS)
+    name = draw(st.sampled_from(sorted(docs)))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = [p for p in _paths(docs[name]) if p]
+        if not paths:
+            break
+        depth = draw(st.sampled_from(sorted({len(p) for p in paths})))
+        path = draw(st.sampled_from([p for p in paths if len(p) == depth]))
+        parent = docs[name]
+        for key in path[:-1]:
+            parent = parent[key]
+        key, node = path[-1], parent[path[-1]]
+        kind = draw(st.sampled_from(("drop", "junk", "float", "resize", "container")))
+        if kind == "drop":
+            del parent[key]
+        elif kind == "junk":
+            parent[key] = copy.deepcopy(draw(st.sampled_from(_JUNK)))
+        elif kind == "float":
+            parent[key] = draw(st.sampled_from((0.5, 1.0, -0.0)))
+        elif kind == "resize" and isinstance(node, list) and node:
+            if draw(st.booleans()):
+                node.append(copy.deepcopy(node[0]))
+            else:
+                node.pop()
+        elif kind == "container" and isinstance(node, (list, dict)):
+            parent[key] = (dict(zip(map(str, range(len(node))), node))
+                           if isinstance(node, list) else list(node.values()))
+    return docs
+
+
+@settings(max_examples=150)
+@given(_mutated_docs())
+def test_cli_exit_codes_on_malformed_documents(docs):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = {}
+        for name, doc in docs.items():
+            path[name] = os.path.join(tmp, f"{name}.json")
+            with open(path[name], "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+        system = path["system"]
+        for argv in (["validate", system], ["classify", system], ["emap", system],
+                     ["wmap", system], ["recover", path["samples"], "--input", system],
+                     ["simulate", system, "--pipeline", path["pipeline"]]):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+            assert code in (0, 2, 3), argv

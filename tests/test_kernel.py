@@ -39,7 +39,7 @@ from gptgeom.systems import (
 
 F = Fraction
 SRC = Path(__file__).resolve().parent.parent / "src"
-DRAWN = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+DRAWN = settings(max_examples=60)
 
 
 @pytest.fixture

@@ -124,7 +124,7 @@ def rational_matrices(draw):
     return draw(st.permutations(rows))
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(rational_matrices())
 def test_integer_rank_matches_fraction_rank(rows):
     assert rank(rows) == fraction_rank(rows)
@@ -153,7 +153,7 @@ def square_matrices(draw):
     return draw(st.permutations(rows))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(square_matrices())
 def test_invert_matrix_exact(rows):
     n = len(rows)

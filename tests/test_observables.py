@@ -135,7 +135,7 @@ def observable_draws(draw, sys):
 @pytest.mark.parametrize("name", [
     "bit", "bit-transformed", "noisy-bit(1/2)", "notch-bit", "squit", "spekkens", "rebit-64",
 ])
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(data=st.data())
 def test_per_facet_check_matches_subset_enumeration(gallery_systems, name, data):
     sys = dict(gallery_systems)[name]
