@@ -21,7 +21,7 @@ from .frames import (
     UnderDeterminedError,
     recover_state,
 )
-from .geometry import set_equal
+from .geometry import dual_cone, positive_cone, set_equal, slice_cone
 from .io import (
     SchemaError,
     bodies_from_json,
@@ -43,7 +43,6 @@ from .observables import (
 )
 from .smooth import AnuBit, DiscretizedSystem, NoisyRebit, Rebit, discretize, smooth_classify
 from .systems import (
-    EffectSpace,
     GptValidationError,
     admits_gtt,
     check_system,
@@ -61,7 +60,8 @@ class CliError(Exception):
 
 
 def _load_system(args):
-    """Resolve the target system from --family/--input/positional path."""
+    """Resolve the target system from --family/--input/positional path,
+    with the observables that come with it."""
     if args.family:
         name = args.family
         if args.p:
@@ -72,9 +72,9 @@ def _load_system(args):
             raise CliError(str(exc), 3)
         if entry.kind == "smooth":
             if args.n:
-                return discretize(entry.system, args.n), entry
-            return entry.system, entry
-        return entry.gpt_system(), entry
+                return discretize(entry.system, args.n), entry.observables
+            return entry.system, entry.observables
+        return entry.gpt_system(), entry.observables
     path = args.path or args.input
     if not path:
         raise CliError("no input: give a system JSON path or --family", 3)
@@ -175,16 +175,15 @@ def cmd_recover(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    system, loaded_obs = _load_exact_system(args)
+    system, system_obs = _load_exact_system(args)
     if not args.pipeline:
         raise CliError("simulate needs --pipeline <json>", 3)
     try:
         table, steps, emit = pipeline_from_json(load_json(args.pipeline), system.dim)
     except (OSError, SchemaError) as exc:
         raise CliError(f"{args.pipeline}: {exc}", 3)
-    if isinstance(loaded_obs, dict):
-        for label, o in loaded_obs.items():
-            table.setdefault(label, o)
+    for label, o in system_obs.items():
+        table.setdefault(label, o)
     try:
         for step in steps:
             (op, params), = step.items()
@@ -229,11 +228,14 @@ def cmd_gallery(args) -> int:
     except gallery_mod.UnknownNameError as exc:
         raise CliError(str(exc), 3)
     if args.output:
-        if entry.kind == "smooth":
+        if entry.kind != "smooth":
+            system = entry.gpt_system()
+        elif args.n:
+            system = discretize(entry.system, args.n).system
+        else:
             raise CliError(f"{entry.name} has no exact vertices to export; "
                            f"use --n to export a discretization", 3)
-        text = dump_canonical(system_to_json(entry.gpt_system(), entry.observables))
-        _write_output(args.output, text)
+        _write_output(args.output, dump_canonical(system_to_json(system, entry.observables)))
         return 0
     print(f"{entry.name}: expected {entry.expected.value}")
     print(f"  source: {entry.source}")
@@ -248,12 +250,12 @@ def cmd_suite(args) -> int:
 
     rng = random.Random(20260810)
     from .randomgen import random_system
-    roundtrip = True
+    # W(E) from E's facets through 0 against the cone route over E's vertices
+    w_routes = True
     for _ in range(args.n or 10):
         system = random_system(rng, rng.choice([2, 3, 3, 4]))
-        full = unrestricted_effects(system.states)
-        roundtrip &= set_equal(states_from_effects(EffectSpace(full, system.unit)),
-                               system.states.polytope)
+        via_cones = slice_cone(dual_cone(positive_cone(system.effects.polytope)), system.unit, 1)
+        w_routes &= set_equal(states_from_effects(system.effects), via_cones)
 
     agrees = True
     for entry in gallery_mod.polytopic_entries():
@@ -263,7 +265,7 @@ def cmd_suite(args) -> int:
             agrees = False
 
     failures = report.failures
-    for ok, check in ((roundtrip, "effect/state roundtrip on random systems"),
+    for ok, check in ((w_routes, "recovered state body routes agree on random systems"),
                       (agrees, "classification agrees with direct state recovery")):
         print(f"[{'PASS' if ok else 'FAIL'}] {check}")
         failures += not ok

@@ -159,11 +159,6 @@ def _to_int(vecs: Iterable[Sequence[Fraction]]) -> list[IntVec]:
     return [integerize(v) for v in vecs]
 
 
-def _ray_key(vec: QVec) -> QVec:
-    """Canonical representative of a ray: positive scaling, primitive ints."""
-    return QVec(integerize(vec))
-
-
 # ---------------------------------------------------------------------------
 # halfspaces and polytopes
 
@@ -270,11 +265,7 @@ class Polytope:
         return all(_idot(h.inormal, xi) >= h.ioffset * s for h in self.facets)
 
     def centroid(self) -> QVec:
-        n = len(self.vertices)
-        total = self.vertices[0]
-        for v in self.vertices[1:]:
-            total = total + v
-        return total * Fraction(1, n)
+        return sum(self.vertices[1:], self.vertices[0]) * Fraction(1, len(self.vertices))
 
     def affine_dim(self) -> int:
         v0 = self.vertices[0]
@@ -521,15 +512,7 @@ def positive_cone(p: Polytope) -> Cone:
 def dual_cone(c: Cone) -> Cone:
     """Vectors with nonnegative inner product against the whole cone."""
     gens = [r for r in c.rays if not r.is_zero()]
-    if not gens:
-        # dual of {0} is the full space
-        basis = []
-        for i in range(c.dim):
-            e = [0] * c.dim
-            e[i] = 1
-            basis.append(QVec(e))
-            basis.append(-QVec(e))
-        return Cone._raw(tuple(sorted(_ray_key(b) for b in basis)))
+    # with no generators the pass returns the whole space as lineality
     rays, lin = _dd(_to_int(gens), c.dim)
     # the generators of c are by definition valid halfspaces for the dual
     return Cone._raw(_cone_generators(rays, lin, c.dim), halfspaces=tuple(gens))
@@ -561,7 +544,8 @@ def slice_cone(c: Cone, normal, offset) -> Polytope:
     """
     normal = QVec(normal)
     offset = as_fraction(offset)
-    constraints = [Halfspace(n, 0) for n in c.halfspaces]
+    # the whole space has the zero vector as its only normal
+    constraints = [Halfspace(n, 0) for n in c.halfspaces if not n.is_zero()]
     constraints.append(Halfspace(normal, offset))
     constraints.append(Halfspace(-normal, -offset))
     return hrep_to_vrep(constraints)

@@ -10,14 +10,13 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .geometry import (
-    Cone,
+    EmptyIntersectionError,
     Halfspace,
     Polytope,
     SelfCheckError,
     UnboundedError,
     hrep_to_vrep,
     hull_reduce,
-    positive_cone,
     set_equal,
 )
 from .linalg import (
@@ -255,22 +254,35 @@ def unrestricted_effects(states: StateSpace) -> Polytope:
     return states._effect_body
 
 
-def state_constraints(effects: EffectSpace) -> list[Halfspace]:
-    hs = [Halfspace(e, 0) for e in effects.polytope.vertices if not e.is_zero()]
-    hs.append(Halfspace(effects.unit, 1))
-    hs.append(Halfspace(-effects.unit, -1))
-    return hs
+def _cone_normals(effects: EffectSpace) -> list[tuple[int, ...]]:
+    """Integer normals a of E's facets a.x >= 0 through the origin: cone(E),
+    the tangent cone of E at 0, is {x : a.x >= 0 for every a}, and the
+    normals generate its dual.  Read off E's kept facets; no DD pass."""
+    return [h.inormal for h in effects.polytope.facets if h.ioffset == 0]
+
+
+def _in_cone(x: QVec, normals: list[tuple[int, ...]]) -> bool:
+    """Whether x lies in the cone {y : a.y >= 0 for every normal a}."""
+    xi, _ = as_integers(x)
+    return all(sum(map(mul, a, xi)) >= 0 for a in normals)
 
 
 def states_from_effects(effects: EffectSpace) -> Polytope:
     """All normalized vectors assigning nonnegative values to every effect;
-    the state space a frame-function reconstruction can reach."""
-    try:
-        return hrep_to_vrep(state_constraints(effects))
-    except UnboundedError:
-        raise UnboundedError(
-            "recovered state body is unbounded: effect space fails to span"
-        )
+    the state space a frame-function reconstruction can reach.
+
+    It is the unit-weight slice of the dual of cone(E), which the normals a
+    of E's facets through 0 generate: W(E) = conv{a / (u.a)}, one hull pass
+    with its integer self-check.  Empty when no u.a is positive (0 interior
+    to E), unbounded when some u.a is not (E fails to span).
+    """
+    normals = _cone_normals(effects)
+    weights = [effects.unit.dot(a) for a in normals]
+    if not any(w > 0 for w in weights):
+        raise EmptyIntersectionError("recovered state body is empty: 0 is interior to E")
+    if any(w <= 0 for w in weights):
+        raise UnboundedError("recovered state body is unbounded: effect space fails to span")
+    return hull_reduce([QVec(a) * (1 / w) for a, w in zip(normals, weights)])
 
 
 class GptClass(enum.Enum):
@@ -304,11 +316,10 @@ def classify(sys: GptSystem) -> Classification:
     relaxation coincides with the noisy class and the AlmostNuOnly tag
     cannot occur here (it is reserved for the smooth families).
 
-    At most two DD passes: one for the vertices of E(S), unless the state
-    space already holds them, and one for the halfspaces of cone(E), the
-    dual of E's generators.  Since E lies in E(S), the cones are equal iff
-    every vertex of E(S) lies in cone(E); the first vertex outside is the
-    witness.
+    At most one DD pass: for the vertices of E(S), unless the state space
+    already holds them.  Since E lies in E(S), the cones are equal iff every
+    vertex of E(S) lies in cone(E), which E's facets through 0 describe
+    exactly; the first vertex outside is the witness.
 
     The result is stored on the system, so a second call, or
     :func:`admits_gtt` afterwards, makes no pass and returns the same object.
@@ -322,8 +333,8 @@ def _classify(sys: GptSystem) -> Classification:
     es = unrestricted_effects(sys.states)
     if set_equal(sys.effects.polytope, es):
         return Classification(GptClass.UNRESTRICTED)
-    effect_cone = Cone._raw(sys.effects.polytope.vertices)
-    witness = next((v for v in es.vertices if not effect_cone.contains(v)), None)
+    normals = _cone_normals(sys.effects)
+    witness = next((v for v in es.vertices if not _in_cone(v, normals)), None)
     if witness is None:
         return Classification(GptClass.NOISY_UNRESTRICTED)
     return Classification(GptClass.NOT_ALMOST_NU, witness=witness)
@@ -335,8 +346,11 @@ def admits_gtt(sys: GptSystem) -> bool:
     Computed twice: from the classification tag and from the direct
     recovered-states equality W(E) = S; the two routes must agree.  The tag
     is read from the stored classification; W(E) is deliberately not
-    stored, so each call re-derives it (one DD pass) and the cross-check
-    stays independent of every memo.
+    stored, so each call re-derives it as the hull of E's scaled facet
+    normals (one DD pass) and the cross-check stays independent of every
+    memo.  Both routes read E's kept facets through 0; the routes that do
+    not (a DD over E's vertices, ``positive_cone``) are compared with them
+    in the tests and by ``gptgeom suite``.
     """
     via_tag = classify(sys).admits_gtt
     via_w = set_equal(states_from_effects(sys.effects), sys.states.polytope)
@@ -397,20 +411,18 @@ def transform_system(sys: GptSystem, t: Transform, name: str = "") -> GptSystem:
 def decompose_in_cone(c: QVec, effects: EffectSpace) -> tuple[QVec, QVec]:
     """Write c = a - b with both parts in the effect cone.
 
-    Follows the interior-point construction: take the vertex centroid e of
-    E (interior because E spans and is full-dimensional), shrink eps until
-    e + eps*c stays in the cone, then a = (e + eps*c)/eps and b = e/eps.
+    Follows the interior-point construction: the vertex centroid e of E is
+    interior (E spans and is full-dimensional), so n.e > 0 for every facet
+    normal n of E through 0.  The largest eps <= 1 keeping e + eps*c in the
+    cone is the minimum of 1 and of n.e / -n.c over the normals with
+    n.c < 0; then a = (e + eps*c)/eps and b = e/eps.
     """
     c = QVec(c)
-    cone = positive_cone(effects.polytope)
+    normals = _cone_normals(effects)
     e0 = effects.polytope.centroid()
-    eps = Fraction(1)
-    while not cone.contains(e0 + c * eps):
-        eps /= 2
-        if eps.denominator > 1 << 62:  # unreachable for interior e0
-            raise RuntimeError("interior point search failed")
+    eps = min([Fraction(1)] + [e0.dot(n) / -c.dot(n) for n in normals if c.dot(n) < 0])
     a = (e0 + c * eps) * (1 / eps)
     b = e0 * (1 / eps)
-    if not (cone.contains(a) and cone.contains(b) and a - b == c):
+    if not (_in_cone(a, normals) and _in_cone(b, normals) and a - b == c):
         raise SelfCheckError(f"cone decomposition of {c} is not c = a - b in the cone")
     return a, b

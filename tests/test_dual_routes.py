@@ -54,6 +54,13 @@ def test_state_map_routes_agree_on_gallery():
         assert set_equal(direct, via_cones)
 
 
+def test_state_map_routes_agree_on_random_systems(random_systems):
+    for sys in random_systems:
+        direct = states_from_effects(sys.effects)
+        via_cones = state_body_via_cones(sys.effects.polytope, sys.unit)
+        assert set_equal(direct, via_cones)
+
+
 def test_effect_map_routes_agree_on_random_states(random_systems):
     for sys in random_systems[:20]:
         direct = unrestricted_effects(sys.states)

@@ -272,6 +272,12 @@ def test_slice_unbounded():
         slice_cone(halfplane, qvec(0, 1), 1)
 
 
+def test_slice_of_the_whole_space_is_unbounded():
+    plane = Cone([qvec(1, 0), qvec(-1, 0), qvec(0, 1), qvec(0, -1)])
+    with pytest.raises(UnboundedError):
+        slice_cone(plane, qvec(0, 1), 1)
+
+
 # -- set_equal and contains ----------------------------------------------------
 
 def test_set_equal_vertex_permutation():

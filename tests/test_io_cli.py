@@ -181,6 +181,16 @@ def test_cli_simulate_pipeline(tmp_path, capsys):
     assert doc["valid_observable"]["G"] is True
 
 
+def test_cli_simulate_family_reads_the_gallery_observables(tmp_path, capsys):
+    ppath = tmp_path / "pipe.json"
+    ppath.write_text(json.dumps({"steps": [{"noisy": {"of": "B", "p": "1/2", "as": "Bn"}}]}))
+    sys_path = _write_system(tmp_path, "bit")
+    assert main(["simulate", str(sys_path), "--pipeline", str(ppath)]) == 0
+    from_file = capsys.readouterr().out
+    assert main(["simulate", "--family", "bit", "--pipeline", str(ppath)]) == 0
+    assert capsys.readouterr().out == from_file
+
+
 def test_cli_plot(tmp_path):
     sys_path = _write_system(tmp_path, "bit-transformed")
     out = tmp_path / "fig.svg"
@@ -208,6 +218,16 @@ def test_cli_gallery_listing_and_export(tmp_path, capsys):
     assert main(["gallery", "squit", "--output", str(path)]) == 0
     system, _ = system_from_json(json.loads(path.read_text()))
     assert system.name == "squit"
+
+
+def test_cli_gallery_exports_a_smooth_family_at_n(tmp_path, capsys):
+    path = tmp_path / "rebit.json"
+    assert main(["gallery", "rebit", "--output", str(path)]) == 3
+    assert "--n" in capsys.readouterr().err and not path.exists()
+    assert main(["gallery", "rebit", "--output", str(path), "--n", "8"]) == 0
+    assert main(["validate", str(path)]) == 0
+    assert main(["classify", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("Unrestricted;")
 
 
 def test_cli_gallery_unknown(capsys):

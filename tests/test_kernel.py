@@ -86,12 +86,17 @@ def _fresh(sys):
     return validate_system(sys.states.polytope, sys.effects.polytope, sys.name, sys.unit)
 
 
-def test_classify_makes_at_most_two_passes(dd_calls, gallery_systems):
+def test_classify_makes_one_pass_then_none(dd_calls, gallery_systems):
     for name, sys in gallery_systems:
-        sys = _fresh(sys)
+        fresh = _fresh(sys)
         del dd_calls[:]
-        classify(sys)
-        assert 1 <= len(dd_calls) <= 2, name
+        classify(fresh)
+        assert len(dd_calls) == 1, name  # E(S)
+        fresh = _fresh(sys)
+        unrestricted_effects(fresh.states)
+        del dd_calls[:]
+        classify(fresh)
+        assert dd_calls == [], name
 
 
 def test_hull_reduce_makes_one_pass(dd_calls):
@@ -143,10 +148,12 @@ def test_classification_is_stored(dd_calls, gallery_systems):
 def test_admits_gtt_derives_w_on_every_call(dd_calls):
     sys = _fresh(load("spekkens").gpt_system())
     classify(sys)
+    # W(E) is one hull pass with a row per facet of E through 0
+    through_zero = [h for h in sys.effects.polytope.facets if h.offset == 0]
     for _ in range(2):
         del dd_calls[:]
         assert admits_gtt(sys) is False
-        assert len(dd_calls) == 1
+        assert dd_calls == [len(through_zero)]
 
 
 def test_admits_gtt_catches_a_wrong_stored_tag():
@@ -216,13 +223,13 @@ def test_hull_self_check_catches_a_wrong_facet(monkeypatch):
         hull_reduce([qvec(0, 0), qvec(1, 0), qvec(0, 1), qvec(1, 1)])
 
 
-class _ConeThatForgets:
-    """Contains the first point asked about and nothing afterwards."""
+class _MembershipThatForgets:
+    """Puts the first point asked about in the cone and nothing afterwards."""
 
     def __init__(self):
         self.asked = 0
 
-    def contains(self, x):
+    def __call__(self, x, normals):
         self.asked += 1
         return self.asked == 1
 
@@ -235,7 +242,7 @@ class _AnuBitWithACoveredRay(AnuBit):
 def test_explicit_self_checks_raise(monkeypatch):
     sys = load("squit").gpt_system()
     with monkeypatch.context() as m:
-        m.setattr(systems, "positive_cone", lambda p: _ConeThatForgets())
+        m.setattr(systems, "_in_cone", _MembershipThatForgets())
         with pytest.raises(SelfCheckError):
             decompose_in_cone(qvec(1, 0, 0), sys.effects)
     with pytest.raises(SelfCheckError):

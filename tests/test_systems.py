@@ -5,7 +5,14 @@ from fractions import Fraction
 import pytest
 
 from gptgeom.gallery import load
-from gptgeom.geometry import Halfspace, hrep_to_vrep, hull_reduce, positive_cone, set_equal
+from gptgeom.geometry import (
+    EmptyIntersectionError,
+    Halfspace,
+    hrep_to_vrep,
+    hull_reduce,
+    positive_cone,
+    set_equal,
+)
 from gptgeom.linalg import SingularMatrixError, qvec, unit_vector
 from gptgeom.systems import (
     EffectSpace,
@@ -153,6 +160,15 @@ def test_nonspanning_effects_unbounded():
     effects.polytope = hull_reduce([qvec(0, 0, 0), qvec(0, 0, 1)])
     effects.unit = unit_vector(3)
     with pytest.raises(UnboundedError):
+        states_from_effects(effects)
+
+
+def test_effects_around_zero_recover_no_state():
+    # 0 is interior, so no facet passes through it: cone(E) is the whole
+    # plane and no normalized vector is nonnegative on every effect
+    square = hull_reduce([qvec(x, y) for x in (-1, 1) for y in (F(-1, 2), F(3, 2))])
+    effects = EffectSpace(square, qvec(0, 1))
+    with pytest.raises(EmptyIntersectionError):
         states_from_effects(effects)
 
 
