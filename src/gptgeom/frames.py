@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import QVec, as_fraction, solve_exact
+from .linalg import DimensionMismatchError, QVec, as_fraction, as_integers, solve_exact
 from .observables import Observable
 from .systems import GptSystem
 
@@ -41,6 +41,9 @@ class FrameSamples:
     def __init__(self, pairs: Sequence[tuple[Sequence, object]]):
         norm = tuple((QVec(e), as_fraction(v)) for e, v in pairs)
         for e, v in norm:
+            if len(e) != len(norm[0][0]):
+                raise DimensionMismatchError(
+                    f"effects of length {len(norm[0][0])} and {len(e)} in one sample set")
             if v < 0 or v > 1:
                 raise ValueError(f"frame-function value {v} for {e} outside [0, 1]")
         object.__setattr__(self, "pairs", norm)
@@ -66,9 +69,18 @@ def recover_state(samples: FrameSamples, sys: GptSystem) -> QVec:
     mathematically valid state for the system's effect space.
 
     This is the constructive direction of the frame-function/state
-    correspondence: solve e_i . w = v_i exactly over a spanning sample set,
-    then check nonnegativity on all effects and unit normalization.
+    correspondence: solve e_i . w = v_i exactly (``solve_exact`` checks
+    every sample, not only a spanning subset), then check unit
+    normalization and nonnegativity on every vertex of E, in vertex order,
+    on integers.  A sample of another length than the system raises
+    ``DimensionMismatchError``; no samples, or samples that do not span
+    the space, raise ``UnderDeterminedError``.
     """
+    if not samples.pairs:
+        raise UnderDeterminedError("no samples: the sampled effects do not span the space")
+    if len(samples.pairs[0][0]) != sys.dim:
+        raise DimensionMismatchError(
+            f"samples of length {len(samples.pairs[0][0])} for a system of dimension {sys.dim}")
     rows = [e for e, _ in samples.pairs]
     rhs = [v for _, v in samples.pairs]
     status, solution = solve_exact(rows, rhs)
@@ -79,8 +91,9 @@ def recover_state(samples: FrameSamples, sys: GptSystem) -> QVec:
     w = solution
     if sys.unit.dot(w) != 1:
         raise NotAStateError(f"recovered vector has unit weight {sys.unit.dot(w)} != 1", w)
+    wi, _ = as_integers(w)
     for e in sys.effects.polytope.vertices:
-        if e.dot(w) < 0:
+        if sum(a * b for a, b in zip(as_integers(e)[0], wi)) < 0:
             raise NotAStateError(f"recovered vector gives negative value on {e}", w)
     return w
 

@@ -123,14 +123,16 @@ def integerize(vec: Sequence[Fraction]) -> tuple[int, ...]:
 
 # -- exact linear solving (fraction-free) -----------------------------------
 
-def _bareiss(m: list[Sequence[int]], n_cols: int) -> list[int]:
+def _bareiss(m: list[Sequence[int]], n_cols: int) -> tuple[list[int], list[int]]:
     """Fraction-free (Bareiss) elimination of an integer matrix, in place.
 
     Pivots are sought in the first ``n_cols`` columns; every column of a row
     is eliminated, so augmented columns ride along.  Each division is exact.
-    Leaves an echelon form and returns the pivot columns, one per row of it.
+    Leaves an echelon form and returns its pivot columns, one per row of it,
+    and the row order: the input index of each row the elimination left.
     """
     n_rows = len(m)
+    order = list(range(n_rows))
     prev = 1
     piv_cols: list[int] = []
     r = 0
@@ -139,6 +141,7 @@ def _bareiss(m: list[Sequence[int]], n_cols: int) -> list[int]:
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
+        order[r], order[piv] = order[piv], order[r]
         prow = m[r]
         p = prow[c]
         for i in range(r + 1, n_rows):
@@ -150,7 +153,7 @@ def _bareiss(m: list[Sequence[int]], n_cols: int) -> list[int]:
         r += 1
         if r == n_rows:
             break
-    return piv_cols
+    return piv_cols, order
 
 
 def _back_substitute(m: list[list[int]], n: int, b: int) -> list[Fraction]:
@@ -167,29 +170,43 @@ def _back_substitute(m: list[list[int]], n: int, b: int) -> list[Fraction]:
 
 
 def solve_exact(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
-    """Solve A x = b exactly via fraction-free (Bareiss) elimination.
+    """Solve A x = b exactly, on integers.
+
+    Each row of A is scaled to integers A_i / t_i on its own, and a Bareiss
+    elimination of these rows alone picks a basis: r rows whose pivot
+    columns form a nonsingular r x r system.  That system, with its values,
+    is solved exactly; the other n - r unknowns are 0.  Then every input
+    row is checked on integers: with x = X / s, row i holds iff
+    (A_i . X) den(b_i) == num(b_i) s t_i.
 
     Returns a pair (status, solution) where status is one of 'unique',
     'inconsistent' or 'underdetermined'; solution is a QVec only for
-    'unique'.  Overdetermined-but-consistent systems count as unique.
+    'unique'.  A failed row makes the system 'inconsistent', even when it
+    is also rank-deficient; otherwise r < n is 'underdetermined'.
+    Overdetermined-but-consistent systems count as unique.
     """
     if not rows:
         raise ValueError("no equations")
     n_cols = len(rows[0])
-    m = [as_integers([as_fraction(c) for c in row] + [as_fraction(b)])[0]
-         for row, b in zip(rows, rhs)]
-    r = len(_bareiss(m, n_cols))
-    for i in range(r, len(m)):
-        if all(m[i][j] == 0 for j in range(n_cols)) and m[i][n_cols] != 0:
+    for row in rows:
+        if len(row) != n_cols:
+            raise DimensionMismatchError(f"rows of length {n_cols} and {len(row)}")
+    scaled = [as_integers([as_fraction(c) for c in row]) for row in rows]
+    vals = [as_fraction(b) for b in rhs]
+    piv, order = _bareiss([a for a, _ in scaled], n_cols)
+    r = len(piv)
+    basis = [[scaled[i][0][c] * vals[i].denominator for c in piv]
+             + [vals[i].numerator * scaled[i][1]] for i in order[:r]]
+    _bareiss(basis, r)
+    x = [Fraction(0)] * n_cols
+    for c, xc in zip(piv, _back_substitute(basis, r, r)):
+        x[c] = xc
+    xi, s = as_integers(x)
+    for (a, t), b in zip(scaled, vals):
+        if sum(p * q for p, q in zip(a, xi)) * b.denominator != b.numerator * s * t:
             return "inconsistent", None
     if r < n_cols:
         return "underdetermined", None
-    x = _back_substitute(m, n_cols, n_cols)
-    # Bareiss leaves an echelon form with fill above pivots; verify against
-    # the original system to also catch inconsistent overdetermined input.
-    for row, b in zip(rows, rhs):
-        if sum(as_fraction(a) * xv for a, xv in zip(row, x)) != as_fraction(b):
-            return "inconsistent", None
     return "unique", QVec(x)
 
 
@@ -199,7 +216,7 @@ def rank(rows: Sequence[Sequence[Fraction]]) -> int:
     if not rows:
         return 0
     m = [integerize([as_fraction(c) for c in row]) for row in rows]
-    return len(_bareiss(m, len(m[0])))
+    return len(_bareiss(m, len(m[0]))[0])
 
 
 class SingularMatrixError(ValueError):
@@ -215,7 +232,7 @@ def invert_matrix(rows: Sequence[Sequence[Fraction]]) -> tuple[QVec, ...]:
         raise DimensionMismatchError("matrix is not square")
     m = [as_integers([as_fraction(c) for c in row] + [Fraction(int(i == j)) for j in range(n)])[0]
          for i, row in enumerate(rows)]
-    if len(_bareiss(m, n)) < n:
+    if len(_bareiss(m, n)[0]) < n:
         raise SingularMatrixError("matrix is singular")
     cols = [_back_substitute(m, n, n + j) for j in range(n)]
     return tuple(QVec(row) for row in zip(*cols))

@@ -1,0 +1,37 @@
+"""The summary of the alternating-pair A/B script, on canned result lines."""
+import importlib.util
+import json
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+spec = importlib.util.spec_from_file_location("ab", ROOT / "tools" / "ab.py")
+ab = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(ab)
+
+BETTER = {m["name"]: m["better"]
+          for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+
+
+def _line(ops_per_s, op_p50_ms, failed=0):
+    """One last line of ``perfbench/run.py``, as printed."""
+    return json.dumps({"correct": failed == 0, "attempted": 100, "failed": failed,
+                       "metrics": {"ops_per_s": {"value": ops_per_s, "unit": "1/s"},
+                                   "op_p50_ms": {"value": op_p50_ms, "unit": "ms"}}})
+
+
+def test_summary_counts_by_direction_and_ties_for_neither():
+    assert BETTER["ops_per_s"] == "higher" and BETTER["op_p50_ms"] == "lower"
+    canned = [(_line(100, 2.0), _line(120, 1.0)),   # change better on both
+              (_line(100, 2.0), _line(100, 2.0)),   # ties
+              (_line(110, 1.0), _line(90, 3.0)),    # change worse on both
+              (_line(100, 2.0), _line(130, 1.5))]
+    s = ab.summarize([(json.loads(p), json.loads(c)) for p, c in canned], BETTER)
+    assert set(s) == {"ops_per_s", "op_p50_ms"}
+    for name in s:
+        assert (s[name]["wins"], s[name]["ties"], s[name]["losses"]) == (2, 1, 1)
+    assert s["ops_per_s"]["parent"][1] == 100 and s["ops_per_s"]["change"][1] == 110
+    assert s["op_p50_ms"]["change"] == (1.375, 1.75, 2.25)
+
+
+def test_quartiles_of_one_run():
+    assert ab.quartiles([3.0]) == (3.0, 3.0, 3.0)

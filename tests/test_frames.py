@@ -14,8 +14,9 @@ from gptgeom.frames import (
     recover_state,
 )
 from gptgeom.gallery import load
-from gptgeom.linalg import qvec, zero_vector
+from gptgeom.linalg import DimensionMismatchError, QVec, qvec, zero_vector
 from gptgeom.observables import Observable, dichotomic_extremal_observables
+from gptgeom.smooth import NoisyRebit, discretize
 from gptgeom.systems import states_from_effects
 
 F = Fraction
@@ -73,6 +74,22 @@ def test_underdetermined(bit):
         recover_state(samples, bit)
 
 
+def test_no_samples_are_underdetermined(bit):
+    with pytest.raises(UnderDeterminedError):
+        recover_state(FrameSamples([]), bit)
+
+
+def test_samples_of_mixed_length_rejected():
+    with pytest.raises(DimensionMismatchError, match="length 2 and 3"):
+        FrameSamples([((1, 0), 0), ((1, 0, 0), 0)])
+
+
+def test_samples_of_the_wrong_length_rejected(bit):
+    samples = FrameSamples([((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0)])
+    with pytest.raises(DimensionMismatchError, match="length 3 for a system of dimension 2"):
+        recover_state(samples, bit)
+
+
 def test_value_range_enforced():
     with pytest.raises(ValueError):
         FrameSamples([(qvec(1, 0), F(3, 2))])
@@ -110,3 +127,56 @@ def test_halving_identity_on_recovered_state(bit):
     w = recover_state(FrameSamples.from_state(bit, qvec(F(1, 4), 1)), bit)
     for e in bit.effects.polytope.vertices:
         assert (e * F(1, 2)).dot(w) == e.dot(w) / 2
+
+
+# -- recovery at scale: the 64-gon, 258 samples --------------------------------
+
+
+@pytest.fixture(scope="module")
+def disc64():
+    return discretize(NoisyRebit(F(1, 2)), 64).system
+
+
+def _interior_state(sys):
+    """A convex combination of every state vertex with weights of large
+    denominators, so the sampled values carry large denominators too."""
+    verts = sys.states.polytope.vertices
+    ws = [F(3 ** k + 1, 7 ** 20) for k in range(len(verts))]
+    total = sum(ws)
+    return QVec(sum(w * v[j] for w, v in zip(ws, verts)) / total for j in range(sys.dim))
+
+
+def test_recover_at_scale(disc64):
+    w = _interior_state(disc64)
+    samples = FrameSamples.from_state(disc64, w)
+    assert len(samples) == len(disc64.effects.polytope.vertices) == 258
+    assert recover_state(samples, disc64) == w
+
+
+def test_last_sample_changed_at_scale_is_inconsistent(disc64):
+    pairs = list(FrameSamples.from_state(disc64, _interior_state(disc64)).pairs)
+    e, v = pairs[-1]
+    pairs[-1] = (e, v / 2 if v else F(1, 2))
+    with pytest.raises(InconsistentSamplesError):
+        recover_state(FrameSamples(pairs), disc64)
+
+
+def test_negative_on_one_vertex_at_scale(disc64):
+    # walk from an interior state along d (d . u = 0) to halfway between
+    # the first and the second vertex of E whose value crosses zero there
+    w0, d = _interior_state(disc64), qvec(1, 3, 0)
+    assert disc64.unit.dot(d) == 0
+    crossings = sorted((e.dot(w0) / -e.dot(d), e) for e in disc64.effects.polytope.vertices
+                       if e.dot(d) < 0)
+    (a1, first), (a2, _) = crossings[:2]
+    assert a1 < a2
+    w = w0 + d * ((a1 + a2) / 2)
+    assert [e for e in disc64.effects.polytope.vertices if e.dot(w) < 0] == [first]
+    # sampled where its values lie in [0, 1]: all but first and u - first
+    samples = FrameSamples([(e, e.dot(w)) for e in disc64.effects.polytope.vertices
+                            if 0 <= e.dot(w) <= 1])
+    assert len(samples) == 256
+    with pytest.raises(NotAStateError) as exc:
+        recover_state(samples, disc64)
+    assert str(exc.value) == f"recovered vector gives negative value on {first}"
+    assert exc.value.vector == w

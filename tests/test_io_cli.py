@@ -154,6 +154,20 @@ def test_cli_recover(tmp_path, capsys):
     assert main(["recover", str(spath), "--input", str(sys_path)]) == 2
 
 
+
+def test_cli_recover_checks_sample_length_and_count(tmp_path, capsys):
+    sys_path = _write_system(tmp_path, "bit")
+    spath = tmp_path / "samples.json"
+    for effects in ([["1", "0", "0"]],
+                    [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]):
+        spath.write_text(json.dumps({"samples": [{"effect": e, "value": "0"} for e in effects]}))
+        assert main(["recover", str(spath), "--input", str(sys_path)]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: samples of length 3 for a system of dimension 2\n"
+    spath.write_text(json.dumps({"samples": []}))
+    assert main(["recover", str(spath), "--input", str(sys_path)]) == 2
+    assert capsys.readouterr().out.startswith("UnderDetermined: no samples")
+
 def test_cli_simulate_pipeline(tmp_path, capsys):
     sys_path = _write_system(tmp_path, "bit")
     pipeline = {

@@ -138,6 +138,71 @@ def test_rank_edge_cases():
     assert rank([["1/2", "1/3"], [3, 2]]) == 1
 
 
+# -- solve_exact against a Fraction Gauss-Jordan oracle ------------------------
+
+
+def fraction_solve(rows, rhs):
+    """Gauss-Jordan elimination of [A | b] over Fractions: the oracle for
+    ``solve_exact``, with the same statuses and the same precedence."""
+    m = [[F(c) for c in row] + [F(b)] for row, b in zip(rows, rhs)]
+    n = len(m[0]) - 1
+    rk = 0
+    for c in range(n):
+        piv = next((i for i in range(rk, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[rk], m[piv] = m[piv], m[rk]
+        m[rk] = [v / m[rk][c] for v in m[rk]]
+        for i in range(len(m)):
+            if i != rk and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[rk])]
+        rk += 1
+    if any(row[n] != 0 for row in m[rk:]):
+        return "inconsistent", None
+    if rk < n:
+        return "underdetermined", None
+    return "unique", qvec(*(row[n] for row in m[:n]))
+
+
+big = st.builds(F, st.integers(-10 ** 40, 10 ** 40), st.integers(1, 10 ** 40))
+
+
+@st.composite
+def linear_systems(draw):
+    """A x = b for a drawn x with large denominators; often one value of b
+    is then moved, which makes the system inconsistent unless that row is
+    independent of the others."""
+    rows = draw(rational_matrices())
+    x = draw(st.lists(big, min_size=len(rows[0]), max_size=len(rows[0])))
+    rhs = [sum((a * b for a, b in zip(row, x)), F(0)) for row in rows]
+    if draw(st.booleans()):
+        rhs[draw(st.integers(0, len(rhs) - 1))] += draw(big.filter(bool))
+    return rows, rhs
+
+
+@settings(max_examples=300)
+@given(linear_systems())
+def test_solve_exact_matches_gauss_jordan(system):
+    rows, rhs = system
+    assert solve_exact(rows, rhs) == fraction_solve(rows, rhs)
+
+
+def test_only_a_dependent_row_is_inconsistent():
+    # the moved value sits on the last of many dependent rows, never a pivot
+    # row; the check of every row must see it, with and without full rank
+    for basis in ([[1, 0], [0, 1]], [[1, 1]]):
+        rows = basis + [[k, k] for k in range(2, 12)]
+        rhs = [sum(row) * F(1, 3) for row in rows]
+        assert solve_exact(rows, rhs)[0] == ("unique" if len(basis) == 2 else "underdetermined")
+        rhs[-1] += F(1, 10 ** 30)
+        assert solve_exact(rows, rhs) == ("inconsistent", None)
+
+
+def test_solve_exact_rejects_ragged_rows():
+    with pytest.raises(DimensionMismatchError, match="length 2 and 3"):
+        solve_exact([[1, 0], [1, 0, 0]], [0, 0])
+
 @st.composite
 def square_matrices(draw):
     """Square matrices, often singular: some rows are rational combinations
