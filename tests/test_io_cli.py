@@ -154,7 +154,6 @@ def test_cli_recover(tmp_path, capsys):
     assert main(["recover", str(spath), "--input", str(sys_path)]) == 2
 
 
-
 def test_cli_recover_checks_sample_length_and_count(tmp_path, capsys):
     sys_path = _write_system(tmp_path, "bit")
     spath = tmp_path / "samples.json"
@@ -167,6 +166,7 @@ def test_cli_recover_checks_sample_length_and_count(tmp_path, capsys):
     spath.write_text(json.dumps({"samples": []}))
     assert main(["recover", str(spath), "--input", str(sys_path)]) == 2
     assert capsys.readouterr().out.startswith("UnderDetermined: no samples")
+
 
 def test_cli_simulate_pipeline(tmp_path, capsys):
     sys_path = _write_system(tmp_path, "bit")

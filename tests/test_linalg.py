@@ -203,6 +203,7 @@ def test_solve_exact_rejects_ragged_rows():
     with pytest.raises(DimensionMismatchError, match="length 2 and 3"):
         solve_exact([[1, 0], [1, 0, 0]], [0, 0])
 
+
 @st.composite
 def square_matrices(draw):
     """Square matrices, often singular: some rows are rational combinations

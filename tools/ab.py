@@ -4,9 +4,9 @@
 
 Each directory is a full checkout (for example ``git archive REV | tar -x
 -C DIR``).  Pair i runs ``perfbench/run.py --workload W --seed SEED+i
---seconds S --trace 0`` in both, the parent first in even pairs and the
-change first in odd ones, so slow stretches of a shared machine fall on
-both sides alike.  It prints every pair's end-to-end metrics, then, per
+--seconds S --trace 0`` in both, S being ``run_seconds`` of the change's
+``BENCHMARK.json``, the parent first in even pairs and the change first in
+odd ones, so slow stretches of a shared machine fall on both sides alike.  It prints every pair's end-to-end metrics, then, per
 metric, each side's median and quartiles and the change's wins, ties and
 losses, where "better" follows the metric's direction in the change's
 ``BENCHMARK.json``; failed ops are printed by side.  Exit status 1 if any
@@ -75,17 +75,17 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True, help="a workload of BENCHMARK.json")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, required=True, help="seed of the first pair")
-    parser.add_argument("--seconds", type=float, default=20)
     args = parser.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    seconds = spec["run_seconds"]
 
     pairs, failed = [], {side: 0 for side in SIDES}
     ok = True
     for i in range(args.pairs):
         seed = args.seed + i
         order = SIDES if i % 2 == 0 else SIDES[::-1]
-        res = {side: run_once(getattr(args, side), args.workload, seed, args.seconds)
+        res = {side: run_once(getattr(args, side), args.workload, seed, seconds)
                for side in order}
         for side in SIDES:
             if res[side] is None:
@@ -101,7 +101,7 @@ def main(argv=None) -> int:
             f"{res['change']['metrics'][name]['value']:.4g}"
             for name in better if name in res["parent"]["metrics"]), flush=True)
 
-    print(f"# {args.workload}: {len(pairs)} pairs, {args.seconds:g} s runs, seeds "
+    print(f"# {args.workload}: {len(pairs)} pairs, {seconds:g} s runs, seeds "
           f"{args.seed}..{args.seed + args.pairs - 1}; quartiles q1/median/q3")
     for name, s in summarize(pairs, better).items():
         print(f"{args.workload} {name} ({better[name]} is better): parent "
