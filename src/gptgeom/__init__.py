@@ -16,7 +16,6 @@ from .geometry import (
     EmptyIntersectionError,
     UnboundedError,
     cone_intersect,
-    contains,
     dual_cone,
     hull_reduce,
     hrep_to_vrep,

@@ -41,7 +41,7 @@ from .observables import (
     mix_observables,
     noisy_observable,
 )
-from .smooth import AnuBit, DiscretizedSystem, NoisyRebit, Rebit, discretize, smooth_classify
+from .smooth import DiscretizedSystem, SmoothFamily, discretize, smooth_classify
 from .systems import (
     GptValidationError,
     admits_gtt,
@@ -71,7 +71,7 @@ def _load_system(args):
         except gallery_mod.UnknownNameError as exc:
             raise CliError(str(exc), 3)
         if entry.kind == "smooth":
-            if args.n:
+            if args.n is not None:
                 return discretize(entry.system, args.n), entry.observables
             return entry.system, entry.observables
         return entry.gpt_system(), entry.observables
@@ -88,7 +88,7 @@ def _load_exact_system(args, default_n=None):
     """:func:`_load_system` narrowed to a GptSystem; a smooth family is
     discretized at ``default_n`` and is an input error without one."""
     system, extra = _load_system(args)
-    if isinstance(system, (Rebit, NoisyRebit, AnuBit)):
+    if isinstance(system, SmoothFamily):
         if default_n is None:
             raise CliError(f"{args.family} has no exact vertices; give --n", 3)
         system = discretize(system, default_n)
@@ -132,7 +132,7 @@ def cmd_validate(args) -> int:
 
 def cmd_classify(args) -> int:
     target, _ = _load_system(args)
-    if isinstance(target, (Rebit, NoisyRebit, AnuBit)):
+    if isinstance(target, SmoothFamily):
         print(smooth_classify(target).describe())
     elif isinstance(target, DiscretizedSystem):
         print(f"{target.classify().describe()}  [polygonal approximant n={target.n}, "
@@ -230,7 +230,7 @@ def cmd_gallery(args) -> int:
     if args.output:
         if entry.kind != "smooth":
             system = entry.gpt_system()
-        elif args.n:
+        elif args.n is not None:
             system = discretize(entry.system, args.n).system
         else:
             raise CliError(f"{entry.name} has no exact vertices to export; "

@@ -290,9 +290,11 @@ class Cone:
 
     ``Cone(gens)`` canonicalizes the generators up to positive scaling and
     keeps the extreme ones; a non-pointed cone carries its lineality as
-    antipodal generator pairs.  ``Cone._raw(gens)`` keeps the generators as
-    given.  The homogeneous H-representation is derived by one dual pass on
-    first use and cached, with integer copies for membership tests.
+    antipodal generator pairs.  It makes two dual passes: the first gives
+    the homogeneous H-representation, the second the generators.
+    ``Cone._raw(gens)`` keeps the generators as given and derives the
+    H-representation by one dual pass on first use.  Both keep integer
+    copies of the normals for membership tests.
     """
 
     __slots__ = ("rays", "_halfspaces", "_inormals")
@@ -304,9 +306,9 @@ class Cone:
         dim = len(gens[0])
         if any(len(g) != dim for g in gens):
             raise DimensionMismatchError("cone generators of mixed dimension")
-        reduced = _reduce_rays(gens, dim)
-        self.rays = reduced
-        self._halfspaces = None
+        dual = dual_cone(Cone._raw(tuple(gens)))
+        self.rays = dual_cone(dual).rays
+        self._halfspaces = dual.rays
         self._inormals = None
 
     @classmethod
@@ -370,20 +372,6 @@ def _cone_generators(rays: list[tuple[IntVec, int]], lin: list[IntVec], dim: int
     if not out:
         return (zero_vector(dim),)
     return tuple(sorted(QVec(_iprim(r)) for r in out))
-
-
-def _reduce_rays(gens: list[QVec], dim: int) -> tuple[QVec, ...]:
-    """Irredundant generators of cone(gens): extreme rays plus a lineality
-    basis expanded into antipodal pairs."""
-    nonzero = [g for g in gens if not g.is_zero()]
-    if not nonzero:
-        return (zero_vector(dim),)
-    # H-representation of the generated cone is the dual ray set; dualizing
-    # twice lands back on the (closed polyhedral) cone with minimal rays.
-    dual_rays, dual_lin = _dd(_to_int(nonzero), dim)
-    constraints = [r for r, _ in dual_rays] + dual_lin + [tuple(-x for x in l) for l in dual_lin]
-    rays, lin = _dd(constraints, dim)
-    return _cone_generators(rays, lin, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -562,8 +550,3 @@ def set_equal(a, b) -> bool:
             raise DimensionMismatchError("comparing cones of different dimension")
         return a == b
     raise TypeError("set_equal compares two polytopes or two cones")
-
-
-def contains(setlike, x) -> bool:
-    """Exact membership, via the H-representation."""
-    return setlike.contains(QVec(x))

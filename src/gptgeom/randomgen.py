@@ -24,9 +24,11 @@ from .linalg import QVec, zero_vector
 from .systems import (
     EffectSpace,
     GptSystem,
+    GptValidationError,
     StateSpace,
-    check_system,
+    _system,
     unrestricted_effects,
+    validate_system,
 )
 
 
@@ -68,19 +70,15 @@ def random_system(rng: random.Random, dim: int, restrict: bool | None = None,
     while True:
         states = random_state_space(rng, dim)
         full = unrestricted_effects(states)
-        if restrict is None:
-            do_restrict = rng.random() < 0.5
-        else:
-            do_restrict = restrict
-        if not do_restrict:
-            return GptSystem(states, EffectSpace(full), name=f"random-{dim}d")
+        if not (rng.random() < 0.5 if restrict is None else restrict):
+            return _system(states, EffectSpace(full), name=f"random-{dim}d")
         effects = _shrink_effects(rng, full, states.unit, max_cuts)
         if effects is None:
             continue
-        if check_system(states.polytope, effects, states.unit):
+        try:
+            return validate_system(states, effects, name=f"random-{dim}d-restricted")
+        except GptValidationError:
             continue  # a cut produced an invalid body (or one that does not span); redraw
-        return GptSystem(states, EffectSpace._raw(effects, states.unit),
-                         name=f"random-{dim}d-restricted")
 
 
 def _shrink_effects(rng: random.Random, full: Polytope, unit: QVec,

@@ -19,6 +19,7 @@ from .systems import (
     GptClass,
     GptSystem,
     StateSpace,
+    _system,
     classify as classify_polytopic,
     unrestricted_effects,
 )
@@ -259,14 +260,17 @@ class DiscretizedSystem:
 def discretize(family: SmoothFamily, n: int) -> DiscretizedSystem:
     """Polygonal system approximating the family; classification of the
     result is exact per approximant and stabilizes as n grows."""
+    if n < 3:
+        raise ValueError("a polygon needs at least 3 vertices")
+    if isinstance(family, AnuBit):
+        return _discretize_anu(family, n)
+    if not isinstance(family, (Rebit, NoisyRebit)):
+        raise TypeError(f"not a smooth family: {family!r}")
+    states = StateSpace(disc_polygon_states(n))
+    full = unrestricted_effects(states)
     if isinstance(family, Rebit):
-        states = StateSpace(disc_polygon_states(n))
-        effects = EffectSpace(unrestricted_effects(states))
-        sys = GptSystem(states, effects, name=f"disc-polygon-{n}")
-        return DiscretizedSystem(family, n, sys, polygon_vertex_error(n))
-    if isinstance(family, NoisyRebit):
-        states = StateSpace(disc_polygon_states(n))
-        full = unrestricted_effects(states)
+        sys = _system(states, EffectSpace(full), name=f"disc-polygon-{n}")
+    else:
         unit = states.unit
         pts = [QVec([0, 0, 0]), unit]
         for e in full.vertices:
@@ -274,12 +278,8 @@ def discretize(family: SmoothFamily, n: int) -> DiscretizedSystem:
                 continue
             pts.append(e * family.p)
             pts.append(unit - e * family.p)
-        effects = EffectSpace(hull_reduce(pts))
-        sys = GptSystem(states, effects, name=f"noisy-disc-polygon-{n}")
-        return DiscretizedSystem(family, n, sys, polygon_vertex_error(n))
-    if isinstance(family, AnuBit):
-        return _discretize_anu(family, n)
-    raise TypeError(f"not a smooth family: {family!r}")
+        sys = _system(states, EffectSpace(hull_reduce(pts)), name=f"noisy-disc-polygon-{n}")
+    return DiscretizedSystem(family, n, sys, polygon_vertex_error(n))
 
 
 def _discretize_anu(family: AnuBit, n: int) -> DiscretizedSystem:
@@ -296,6 +296,5 @@ def _discretize_anu(family: AnuBit, n: int) -> DiscretizedSystem:
         pts.append(e)
         pts.append(unit - e)
     states = StateSpace(hull_reduce([qvec(-1, 1), qvec(1, 1)]))
-    effects = EffectSpace(hull_reduce(pts))
-    sys = GptSystem(states, effects, name=f"disc-intersection-polygon-{n}")
+    sys = _system(states, EffectSpace(hull_reduce(pts)), name=f"disc-intersection-polygon-{n}")
     return DiscretizedSystem(family, n, sys, Fraction(0))

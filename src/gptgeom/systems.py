@@ -65,32 +65,16 @@ class StateSpace:
         self.polytope = polytope
         self.unit = QVec(unit) if unit is not None else unit_vector(polytope.dim)
         self._effect_body = None
-        bad = [v for v in polytope.vertices if self.unit.dot(v) != 1]
-        if bad:
-            raise GptValidationError(
-                [Violation("StateNormalizationViolated",
-                           f"state {bad[0]} has unit weight {self.unit.dot(bad[0])} != 1")]
-            )
-
-    @classmethod
-    def from_points(cls, points: Sequence[Sequence], unit=None) -> "StateSpace":
-        return cls(hull_reduce(points), unit)
+        violations = _state_axioms(polytope, self.unit)
+        if violations:
+            raise GptValidationError(violations)
 
     @property
     def dim(self) -> int:
         return self.polytope.dim
 
-    @property
-    def fiducial_dim(self) -> int:
-        return self.dim - 1
-
     def contains(self, x) -> bool:
         return self.polytope.contains(QVec(x))
-
-    def spans_slice(self) -> bool:
-        """Whether the states affinely span the unit hyperplane (minimal
-        fiducial set); equivalent to E(S) being bounded."""
-        return self.polytope.affine_dim() == self.dim - 1
 
     def __repr__(self):
         return f"StateSpace({len(self.polytope.vertices)} extremal states, R^{self.dim})"
@@ -117,26 +101,23 @@ class EffectSpace:
         es.unit = unit
         return es
 
-    @classmethod
-    def from_points(cls, points: Sequence[Sequence], unit=None) -> "EffectSpace":
-        return cls(hull_reduce(points), unit)
-
     @property
     def dim(self) -> int:
         return self.polytope.dim
 
-    @property
-    def zero(self) -> QVec:
-        return zero_vector(self.dim)
-
     def contains(self, x) -> bool:
         return self.polytope.contains(QVec(x))
 
-    def complement(self, e) -> QVec:
-        return self.unit - QVec(e)
-
     def __repr__(self):
         return f"EffectSpace({len(self.polytope.vertices)} extremal effects, R^{self.dim})"
+
+
+def _state_axioms(polytope: Polytope, unit: QVec) -> list[Violation]:
+    bad = next((w for w in polytope.vertices if unit.dot(w) != 1), None)
+    if bad is None:
+        return []
+    return [Violation("StateNormalizationViolated",
+                      f"state {bad} has unit weight {unit.dot(bad)} != 1")]
 
 
 def _effect_axioms(polytope: Polytope, unit: QVec) -> list[Violation]:
@@ -158,9 +139,31 @@ def _effect_axioms(polytope: Polytope, unit: QVec) -> list[Violation]:
     return out
 
 
+def _range_axiom(states: Polytope, effects: Polytope) -> list[Violation]:
+    # 0 <= e.w <= 1 on every extremal pair, decided on integers: e = ie / se, w = iw / sw
+    scaled_states = [as_integers(w) for w in states.vertices]
+    for e in effects.vertices:
+        ie, se = as_integers(e)
+        for w, (iw, sw) in zip(states.vertices, scaled_states):
+            p = sum(map(mul, ie, iw))
+            if p < 0 or p > se * sw:
+                return [Violation("EffectOutOfRange",
+                                  f"effect {e} gives probability {e.dot(w)} on state {w}")]
+    return []
+
+
+_DIMENSION_MISMATCH = Violation("DimensionMismatch",
+                                "state and effect spaces live in different spaces")
+
+
 @dataclass(frozen=True)
 class GptSystem:
-    """A validated (state space, effect space) pair.
+    """A valid (state space, effect space) pair.
+
+    Each space checks its own axioms; the constructor raises
+    :class:`GptValidationError` unless the two share dimension and unit and
+    every effect gives every state a probability in [0, 1].  From polytopes,
+    :func:`validate_system` builds one and reports every violated axiom.
 
     :func:`classify` stores its result in ``_classification`` on first use;
     the field takes no part in equality, hashing or the repr, so a
@@ -173,6 +176,18 @@ class GptSystem:
     _classification: Optional["Classification"] = field(
         default=None, init=False, compare=False, repr=False)
 
+    def __post_init__(self):
+        s, e = self.states, self.effects
+        if s.dim != e.dim:
+            violations = [_DIMENSION_MISMATCH]
+        elif s.unit != e.unit:
+            violations = [Violation("UnitMismatch",
+                                    f"state unit {s.unit} differs from effect unit {e.unit}")]
+        else:
+            violations = _range_axiom(s.polytope, e.polytope)
+        if violations:
+            raise GptValidationError(violations)
+
     @property
     def dim(self) -> int:
         return self.states.dim
@@ -182,43 +197,49 @@ class GptSystem:
         return self.effects.unit
 
 
+def _system(states: StateSpace, effects: EffectSpace, name: str = "") -> GptSystem:
+    """The trusted constructor: a GptSystem without the pair check, for a
+    pair checked just before or valid by construction.  Its callers:
+    :func:`validate_system` (after :func:`check_system`);
+    :func:`transform_system` (an invertible map keeps every e.w);
+    ``randomgen.random_system``, unrestricted branch (E(S) itself);
+    ``smooth.discretize`` for Rebit (E(S)) and NoisyRebit (p E(S) and its
+    complements), and ``smooth._discretize_anu`` (inside the bit's E(S)).
+    All but :func:`validate_system` build their spaces with the checking
+    ``StateSpace(...)`` and ``EffectSpace(...)``."""
+    sys = object.__new__(GptSystem)
+    sys.__dict__.update(states=states, effects=effects, name=name, _classification=None)
+    return sys
+
+
 def check_system(states: Polytope, effects: Polytope, unit: Optional[QVec] = None
                  ) -> list[Violation]:
-    """Collect every violated axiom of the (S, E) pair without raising."""
-    dim = states.dim
-    u = QVec(unit) if unit is not None else unit_vector(dim)
-    violations: list[Violation] = []
-    if effects.dim != dim:
-        return [Violation("DimensionMismatch",
-                          "state and effect spaces live in different spaces")]
-    for w in states.vertices:
-        if u.dot(w) != 1:
-            violations.append(Violation("StateNormalizationViolated",
-                                         f"state {w} has unit weight {u.dot(w)}"))
-            break
-    violations.extend(_effect_axioms(effects, u))
-    # 0 <= e.w <= 1, decided on integers: e = ie / se and w = iw / sw
-    scaled_states = [as_integers(w) for w in states.vertices]
-    for e in effects.vertices:
-        ie, se = as_integers(e)
-        for w, (iw, sw) in zip(states.vertices, scaled_states):
-            p = sum(map(mul, ie, iw))
-            if p < 0 or p > se * sw:
-                violations.append(Violation("EffectOutOfRange",
-                                             f"effect {e} gives probability {e.dot(w)} on state {w}"))
-                return violations
-    return violations
+    """Collect every violated axiom of the (S, E) pair without raising; a
+    dimension mismatch is reported alone."""
+    if effects.dim != states.dim:
+        return [_DIMENSION_MISMATCH]
+    u = QVec(unit) if unit is not None else unit_vector(states.dim)
+    return _state_axioms(states, u) + _effect_axioms(effects, u) + _range_axiom(states, effects)
 
 
-def validate_system(states: Polytope, effects: Polytope, name: str = "",
+def validate_system(states: StateSpace | Polytope, effects: Polytope, name: str = "",
                     unit: Optional[QVec] = None) -> GptSystem:
-    """Validate the axioms and return the system, or raise GptValidationError
-    carrying one entry per violated axiom."""
+    """Run :func:`check_system` once and return the system, or raise
+    GptValidationError carrying one entry per violated axiom.  A given
+    StateSpace is kept, with any E(S) stored on it; a ``unit`` other than
+    its own raises."""
+    space = None
+    if isinstance(states, StateSpace):
+        if unit is not None and QVec(unit) != states.unit:
+            raise GptValidationError([Violation(
+                "UnitMismatch", f"unit {QVec(unit)} differs from the state space's {states.unit}")])
+        space, states, unit = states, states.polytope, states.unit
     violations = check_system(states, effects, unit)
     if violations:
         raise GptValidationError(violations)
-    states_space = StateSpace(states, unit)
-    return GptSystem(states_space, EffectSpace._raw(effects, states_space.unit), name)
+    if space is None:
+        space = StateSpace(states, unit)
+    return _system(space, EffectSpace._raw(effects, space.unit), name)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +418,7 @@ def transform_system(sys: GptSystem, t: Transform, name: str = "") -> GptSystem:
     new_states = Polytope._raw(tuple(sorted(t.apply_state(w) for w in sys.states.polytope.vertices)))
     new_effects = Polytope._raw(tuple(sorted(t.apply_effect(e) for e in sys.effects.polytope.vertices)))
     new_unit = t.apply_effect(sys.unit)
-    return GptSystem(
+    return _system(
         StateSpace(new_states, new_unit),
         EffectSpace(new_effects, new_unit),
         name or (sys.name + "-transformed" if sys.name else ""),

@@ -311,6 +311,12 @@ def test_cli_malformed_input_exits_3(tmp_path, capsys):
     _assert_input_error(capsys, ["classify", "--family", "noisy-rebit", "--p", "2"])
     _assert_input_error(capsys, ["classify", "--family", "noisy-bit", "--p", "2"])
     _assert_input_error(capsys, ["classify", "--family", "noisy-bit", "--p", "0.5"])
+    # a polygon needs at least 3 vertices, and --n 0 is a given --n
+    _assert_input_error(capsys, ["classify", "--family", "anu-bit", "--n", "-3"])
+    _assert_input_error(capsys, ["classify", "--family", "anu-bit", "--n", "1"])
+    _assert_input_error(capsys, ["emap", "--family", "rebit", "--n", "0"])
+    _assert_input_error(capsys, ["plot", "--family", "rebit", "--n", "0",
+                                 "--output", str(tmp_path / "zero.svg")])
     for pipeline in ({"emit": ["nope"]},
                      {"observables": {"A": 5}},
                      {"observables": {"A": [["1/2", "1/2"], ["-1/2", "1/2"]]},

@@ -206,6 +206,40 @@ def test_validate_checks_effect_axioms_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_validate_checks_each_axiom_once(monkeypatch):
+    sys = load("squit").gpt_system()
+    states = StateSpace(sys.states.polytope)
+    calls = []
+    for name in ("_state_axioms", "_effect_axioms", "_range_axiom"):
+        real = getattr(systems, name)
+        monkeypatch.setattr(systems, name,
+                            lambda *a, name=name, real=real: calls.append(name) or real(*a))
+    validate_system(states, sys.effects.polytope)
+    assert sorted(calls) == ["_effect_axioms", "_range_axiom", "_state_axioms"]
+
+
+def test_validate_reuses_the_stored_effect_body(dd_calls, gallery_systems):
+    for name, sys in gallery_systems:
+        expected = classify(sys)
+        states = StateSpace(sys.states.polytope, sys.unit)
+        unrestricted_effects(states)
+        del dd_calls[:]
+        fresh = validate_system(states, sys.effects.polytope, name)
+        assert fresh.states is states
+        assert classify(fresh) == expected and dd_calls == [], name
+
+
+def test_positive_cone_membership_makes_two_passes(dd_calls):
+    sys = load("spekkens").gpt_system()
+    full = unrestricted_effects(sys.states)
+    witness = classify(sys).witness
+    del dd_calls[:]
+    cone = positive_cone(sys.effects.polytope)
+    assert not cone.contains(witness) and cone.contains(sys.unit)
+    assert len(dd_calls) == 2  # one for the normals, one for the rays
+    assert full.contains(witness)
+
+
 # -- self-checks -------------------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 """Smooth families: exact quadratic membership, classification with
 certificates, and the polygon bridge to the exact backend."""
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -198,3 +199,21 @@ def test_discretized_noisy_body_covers_scaled_ring():
         e = ring_effect(j, m)
         assert body.contains(e * p)
         assert body.contains(u - e * p)
+
+
+def test_discretize_needs_three_vertices_for_every_family():
+    for family in (Rebit(), NoisyRebit(F(1, 2)), AnuBit()):
+        for n in (-3, 0, 1, 2):
+            with pytest.raises(ValueError, match="at least 3 vertices"):
+                discretize(family, n)
+
+
+def test_circle_points_are_pinned():
+    """Every canonical circle point of the m-gons in use, as the float
+    tangent rounding gives them; an exact replacement must keep them."""
+    h = hashlib.sha256()
+    for m in list(range(3, 65)) + [96, 128, 256, 512, 1024]:
+        for j in range(m):
+            x, y = circle_point(j, m)
+            h.update(f"{j}/{m}:{x},{y};".encode())
+    assert h.hexdigest() == "e5aa2bf49374f6907e7cbfc7827633fea242d1df39e266f87ada6b6132dfcb2e"

@@ -1,5 +1,6 @@
 """State/effect model: validation axioms, the two duality maps, the
 classification and the representation changes."""
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from gptgeom.linalg import SingularMatrixError, qvec, unit_vector
 from gptgeom.systems import (
     EffectSpace,
     GptClass,
+    GptSystem,
     GptValidationError,
     StateSpace,
     Transform,
@@ -90,6 +92,82 @@ def test_validate_raises_with_report():
     with pytest.raises(GptValidationError) as err:
         validate_system(bit_states(), hull_reduce([qvec(0, 0), qvec(0, 1)]))
     assert err.value.violations
+
+
+# -- one route to a system: the constructor checks the pair ----------------------
+
+
+def _codes(exc_info):
+    return [v.code for v in exc_info.value.violations]
+
+
+def test_constructor_rejects_an_effect_outside_the_full_body():
+    # valid on its own (0, u, closed under complement, spanning), but (-2, 2)
+    # gives the state (0, 1) probability 2
+    effects = EffectSpace(hull_reduce([qvec(0, 0), qvec(0, 1), qvec(-2, 2), qvec(2, -1)]))
+    states = StateSpace(bit_states())
+    with pytest.raises(GptValidationError) as err:
+        GptSystem(states, effects)
+    assert _codes(err) == ["EffectOutOfRange"]
+    with pytest.raises(GptValidationError) as err:
+        validate_system(states, effects.polytope)
+    assert _codes(err) == ["EffectOutOfRange"]
+
+
+def test_constructor_rejects_mismatched_units_and_dimensions():
+    bit = validate_system(bit_states(), bit_effects())
+    moved = transform_system(bit, Transform([[1, 0], [1, 1]]))  # unit (-1, 1)
+    assert moved.unit != bit.unit
+    with pytest.raises(GptValidationError) as err:
+        GptSystem(bit.states, moved.effects)
+    assert _codes(err) == ["UnitMismatch"]
+    squit = load("squit").gpt_system()
+    with pytest.raises(GptValidationError) as err:
+        GptSystem(bit.states, squit.effects)
+    assert _codes(err) == ["DimensionMismatch"]
+
+
+def test_validate_keeps_a_state_space_and_checks_its_unit():
+    states = StateSpace(bit_states())
+    sys = validate_system(states, bit_effects(), "bit")
+    assert sys.states is states and sys.unit == states.unit
+    assert GptSystem(sys.states, sys.effects, "bit") == sys
+    with pytest.raises(GptValidationError) as err:
+        validate_system(states, bit_effects(), unit=qvec(1, 1))
+    assert _codes(err) == ["UnitMismatch"]
+    # the same unit given explicitly is accepted
+    assert validate_system(states, bit_effects(), unit=qvec(0, 1)).states is states
+
+
+def test_validate_collects_every_violation_of_a_polytope_pair():
+    states = hull_reduce([qvec(0, 1), qvec(1, 2)])
+    effects = hull_reduce([qvec(0, 0), qvec(0, 1)])
+    with pytest.raises(GptValidationError) as err:
+        validate_system(states, effects)
+    assert _codes(err) == ["StateNormalizationViolated", "DoesNotSpan", "EffectOutOfRange"]
+
+
+def _transform_of(dim):
+    """A unimodular matrix: the identity plus ones above the diagonal."""
+    return Transform([[int(i == j or j == i + 1) for j in range(dim)] for i in range(dim)])
+
+
+def _valid(sys):
+    return sys.states.unit == sys.effects.unit and not check_system(
+        sys.states.polytope, sys.effects.polytope, sys.unit)
+
+
+def test_trusted_builders_give_valid_systems(random_systems, gallery_systems):
+    from gptgeom.randomgen import random_system
+    from gptgeom.smooth import AnuBit, NoisyRebit, Rebit, discretize
+    assert all(_valid(s) for s in random_systems)
+    gen = random.Random(31)
+    assert all(_valid(random_system(gen, d, restrict=True)) for d in (2, 3, 3, 4, 4, 5))
+    for family in (Rebit(), NoisyRebit(F(1, 2)), AnuBit()):
+        for n in (3, 4, 7, 16):
+            assert _valid(discretize(family, n).system), (family, n)
+    for name, sys in gallery_systems:
+        assert _valid(transform_system(sys, _transform_of(sys.dim))), name
 
 
 # -- unrestricted effects --------------------------------------------------------
