@@ -244,6 +244,8 @@ def cmd_gallery(args) -> int:
 
 
 def cmd_suite(args) -> int:
+    if args.n is not None and args.n < 0:
+        raise CliError(f"--n must be nonnegative, not {args.n}", 3)
     report = gallery_mod.run_all()
     for line in report.lines():
         print(line)
@@ -252,7 +254,7 @@ def cmd_suite(args) -> int:
     from .randomgen import random_system
     # W(E) from E's facets through 0 against the cone route over E's vertices
     w_routes = True
-    for _ in range(args.n or 10):
+    for _ in range(10 if args.n is None else args.n):
         system = random_system(rng, rng.choice([2, 3, 3, 4]))
         via_cones = slice_cone(dual_cone(positive_cone(system.effects.polytope)), system.unit, 1)
         w_routes &= set_equal(states_from_effects(system.effects), via_cones)

@@ -21,11 +21,19 @@ necessary condition for adjacency.  Membership tests run on primitive
 integer facets.  The method is still exponential in the worst case: the
 restricted random systems of ambient dimension 6 take seconds, and
 dimension 7 is the current frontier.
+
+Every hull proves its DD output right on its input points: each point
+on the valid side of each facet, each mask exactly the facet's tight
+points, each equation zero.  The products of one facet with all points
+come from ``dim + 1`` multiplications of packed integers whose fields
+have room for the largest product the entry sizes allow, so none carries
+into the next (:func:`_check_incidence`).
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -390,6 +398,65 @@ def hull_reduce(points: Sequence[Sequence]) -> Polytope:
     return _hull(sorted(set(pts)), dim)
 
 
+# maps the characters of format(mask, "b") to the top byte a field of the
+# packed products holds: a tight point (bit 1) has a zero product
+_NONZERO_BYTE = bytes.maketrans(b"01", b"\x80\x00")
+
+
+def _check_incidence(rays: list[tuple[IntVec, int]], lin: list[IntVec],
+                     rows: Sequence[IntVec], names: Sequence) -> None:
+    """Raise SelfCheckError unless every ray g has g.row >= 0 on every row,
+    with equality exactly on the rows its mask names, and every lineality
+    vector l has l.row == 0 on every row.
+
+    All V products of one vector run as ``len(row)`` big-int multiply-adds:
+    column j of the rows is packed into one int of V fields of W bits,
+    row i in field i.  With R, G the largest entries of the rows and of the
+    vectors and D the row length, every product has |p| <= D R G <
+    2^(bits(D) + bits(R) + bits(G)) <= 2^(W - 2), so once each field is
+    biased by 2^(W - 1) it lies in [1, 2^W) and no field carries into the
+    next.  A clear top bit is then a negative product, and with every top
+    bit set, adding 2^(W - 1) - 1 to the fields with their top bits cleared
+    sets the top bit exactly where p != 0; that pattern is compared bytewise
+    with the mask.  A lineality vector must give the packed zero.  Only on a
+    failure is the plain product loop run, to name the first misplaced
+    point (``names[i]`` for row i) as before.
+    """
+    if not rows or not (rays or lin):
+        return
+    n = len(rows)
+    vectors = [g for g, _ in rays] + lin
+    bits = (max(map(int.bit_length, chain.from_iterable(rows)))
+            + max(map(int.bit_length, chain.from_iterable(vectors)))
+            + len(rows[0]).bit_length() + 2)
+    size = -(-bits // 8)  # bytes per field
+    half = 1 << (8 * size - 1)
+    top = int.from_bytes((b"\x00" * (size - 1) + b"\x80") * n, "little")
+    low = top - int.from_bytes((b"\x01" + b"\x00" * (size - 1)) * n, "little")
+    packed = [int.from_bytes(b"".join((x + half).to_bytes(size, "little") for x in col),
+                             "little") - top
+              for col in zip(*rows)]
+    if all(sum(map(mul, l, packed)) == 0 for l in lin):
+        for g, mask in rays:
+            biased = sum(map(mul, g, packed)) + top
+            if biased & top != top:
+                break  # a negative product
+            nonzero = ((biased ^ top) + low) & top
+            if (nonzero.to_bytes(n * size, "big")[::size]
+                    != format(mask, f"0{n}b").encode().translate(_NONZERO_BYTE)):
+                break
+        else:
+            return
+    for g, mask in rays:
+        for i, row in enumerate(rows):
+            v = _idot(g, row)
+            if v < 0 or (v == 0) != bool(mask >> i & 1):
+                raise SelfCheckError(f"facet {g} misplaces input point {names[i]}")
+    if any(_idot(l, row) for l in lin for row in rows):
+        raise SelfCheckError("an affine-hull equation fails on an input point")
+    raise SelfCheckError("the packed incidence check and the product loop disagree")
+
+
 def _hull(pts: list[QVec], dim: int) -> Polytope:
     """One DD pass over the lifted distinct points (x, 1).
 
@@ -398,18 +465,16 @@ def _hull(pts: list[QVec], dim: int) -> Polytope:
     basis gives its equations.  Every face is cut out by the facets that
     contain it, so a point is a vertex iff it is the only point tight on
     all of its tight facets.
+
+    Before the masks are read, :func:`_check_incidence` proves, for every
+    lifted point, that it is on the valid side of every facet, that each
+    mask is the true tight set and that every equation is zero on it.  A
+    field of W bits holds any product, since |g.row| <= D R G <
+    2^(W - 2) for entries up to R and G in rows of length D.
     """
     rows = [integerize(tuple(p) + (Fraction(1),)) for p in pts]
     rays, lin = _dd(rows, dim + 1)
-    # every input point must land inside its own hull, and the masks the
-    # vertex test reads must be the true incidence
-    for g, mask in rays:
-        for i, row in enumerate(rows):
-            v = _idot(g, row)
-            if v < 0 or (v == 0) != bool(mask >> i & 1):
-                raise SelfCheckError(f"facet {g} misplaces input point {pts[i]}")
-    if any(_idot(l, row) for l in lin for row in rows):
-        raise SelfCheckError("an affine-hull equation fails on an input point")
+    _check_incidence(rays, lin, rows, pts)
     facet_rays = [(g, mask) for g, mask in rays if mask and any(g[:dim])]
     # common[i]: the points tight on every facet that is tight at point i
     common = [(1 << len(pts)) - 1] * len(pts)

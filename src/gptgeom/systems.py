@@ -4,6 +4,7 @@ and the classification that decides whether frame functions pin down states.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
@@ -22,10 +23,10 @@ from .geometry import (
 from .linalg import (
     QVec,
     SingularMatrixError,
+    _bareiss,
     as_integers,
     invert_matrix,
     matvec,
-    rank,
     transpose,
     unit_vector,
     zero_vector,
@@ -68,6 +69,15 @@ class StateSpace:
         violations = _state_axioms(polytope, self.unit)
         if violations:
             raise GptValidationError(violations)
+
+    @classmethod
+    def _raw(cls, polytope: Polytope, unit: QVec) -> "StateSpace":
+        """A state space whose axioms were already checked."""
+        ss = object.__new__(cls)
+        ss.polytope = polytope
+        ss.unit = unit
+        ss._effect_body = None
+        return ss
 
     @property
     def dim(self) -> int:
@@ -121,22 +131,38 @@ def _state_axioms(polytope: Polytope, unit: QVec) -> list[Violation]:
 
 
 def _effect_axioms(polytope: Polytope, unit: QVec) -> list[Violation]:
+    """The effect axioms, decided on integers.  Each vertex is scaled once
+    to x / s (``as_integers``: gcd(x, s) = 1, s > 0, so (x, s) is a key of
+    the rational vector); with u = U / t, the key of u - x / s is
+    (s U - t x, s t) divided by its gcd.  The rank is one Bareiss
+    elimination of the scaled rows."""
     out = []
     zero = zero_vector(polytope.dim)
+    scaled = [as_integers(e) for e in polytope.vertices]
     if not polytope.contains(zero) or not polytope.contains(unit):
         out.append(Violation("MissingZeroOrUnit",
                              "effect space must contain the zero and unit effects"))
     else:
         # vertices are irredundant, so P = u - P iff vert(P) = u - vert(P)
-        verts = set(polytope.vertices)
-        missing = next((e for e in polytope.vertices if unit - e not in verts), None)
+        iu, t = as_integers(unit)
+        keys = {(tuple(x), s) for x, s in scaled}
+        missing = next((e for e, (x, s) in zip(polytope.vertices, scaled)
+                        if _complement_key(iu, t, x, s) not in keys), None)
         if missing is not None:
             out.append(Violation("NotComplementClosed",
                                  f"complement of {missing} missing"))
-    if rank(polytope.vertices) < polytope.dim:
+    if len(_bareiss([x for x, _ in scaled], polytope.dim)[0]) < polytope.dim:
         out.append(Violation("DoesNotSpan",
                              "effects do not span the ambient space"))
     return out
+
+
+def _complement_key(iu: list[int], t: int, x: list[int], s: int) -> tuple[tuple[int, ...], int]:
+    """The (numerators, denominator) key of U / t - x / s in lowest terms."""
+    num = [s * a - t * b for a, b in zip(iu, x)]
+    den = s * t
+    g = math.gcd(den, *num)
+    return tuple(c // g for c in num), den // g
 
 
 def _range_axiom(states: Polytope, effects: Polytope) -> list[Violation]:
@@ -228,17 +254,18 @@ def validate_system(states: StateSpace | Polytope, effects: Polytope, name: str 
     GptValidationError carrying one entry per violated axiom.  A given
     StateSpace is kept, with any E(S) stored on it; a ``unit`` other than
     its own raises."""
-    space = None
     if isinstance(states, StateSpace):
         if unit is not None and QVec(unit) != states.unit:
             raise GptValidationError([Violation(
                 "UnitMismatch", f"unit {QVec(unit)} differs from the state space's {states.unit}")])
-        space, states, unit = states, states.polytope, states.unit
-    violations = check_system(states, effects, unit)
+        space = states
+    else:
+        # check_system runs the state axioms, so the space skips its own check
+        space = StateSpace._raw(states, QVec(unit) if unit is not None
+                                else unit_vector(states.dim))
+    violations = check_system(space.polytope, effects, space.unit)
     if violations:
         raise GptValidationError(violations)
-    if space is None:
-        space = StateSpace(states, unit)
     return _system(space, EffectSpace._raw(effects, space.unit), name)
 
 

@@ -35,3 +35,35 @@ def test_summary_counts_by_direction_and_ties_for_neither():
 
 def test_quartiles_of_one_run():
     assert ab.quartiles([3.0]) == (3.0, 3.0, 3.0)
+
+
+HEADER = "# git_rev={} python=3.11.7 nproc=2 src_lines={}"
+
+
+def test_header_fields_of_a_run():
+    lines = ["# gptgeom benchmark: workload=disc seed=1 seconds=20 trace=0",
+             HEADER.format("53f9284", 3129), "# pass: 12 ops; closed loop, one client",
+             _line(100, 2.0)]
+    assert ab.header_fields(lines) == {"git_rev": "53f9284", "python": "3.11.7",
+                                       "nproc": "2", "src_lines": "3129"}
+    assert ab.header_fields([_line(100, 2.0)]) == {}
+
+
+def _checkout(root, rev, src_lines, ops_per_s):
+    """A directory whose ``perfbench/run.py`` prints a canned run."""
+    (root / "perfbench").mkdir(parents=True)
+    (root / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    out = [HEADER.format(rev, src_lines), _line(ops_per_s, 2.0)]
+    (root / "perfbench" / "run.py").write_text(f"print({chr(10).join(out)!r})\n")
+    return root
+
+
+def test_each_side_prints_its_rev_and_src_lines(tmp_path, capsys):
+    parent = _checkout(tmp_path / "parent", "aaa111", 3129, 100)
+    change = _checkout(tmp_path / "change", "unknown", 3150, 120)
+    assert ab.main([str(parent), str(change), "--workload", "disc", "--pairs", "1",
+                    "--seed", "1"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "parent: git_rev aaa111, src_lines 3129" in out
+    assert "change: git_rev unknown, src_lines 3150" in out
+    assert any(line.startswith("disc ops_per_s") and "wins 1" in line for line in out)

@@ -254,6 +254,24 @@ def test_cli_suite(capsys):
     assert "OK" in out and "[PASS]" in out
 
 
+def test_cli_suite_checks_n_random_systems(capsys, monkeypatch):
+    from gptgeom import randomgen
+    calls = []
+    real = randomgen.random_system
+    monkeypatch.setattr(randomgen, "random_system",
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
+    for n in (0, 2):
+        del calls[:]
+        assert main(["suite", "--n", str(n)]) == 0
+        assert len(calls) == n
+    capsys.readouterr()
+    del calls[:]
+    assert main(["suite", "--n", "-1"]) == 3
+    out = capsys.readouterr()
+    assert out.err.startswith("error: --n") and out.out == ""
+    assert calls == []
+
+
 def test_cli_smooth_family_flags(capsys):
     assert main(["classify", "--family", "noisy-rebit", "--p", "1/2"]) == 0
     assert "NoisyUnrestricted" in capsys.readouterr().out

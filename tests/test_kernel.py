@@ -216,6 +216,10 @@ def test_validate_checks_each_axiom_once(monkeypatch):
                             lambda *a, name=name, real=real: calls.append(name) or real(*a))
     validate_system(states, sys.effects.polytope)
     assert sorted(calls) == ["_effect_axioms", "_range_axiom", "_state_axioms"]
+    # from a polytope, the state space is built without a second state check
+    del calls[:]
+    validate_system(sys.states.polytope, sys.effects.polytope)
+    assert sorted(calls) == ["_effect_axioms", "_range_axiom", "_state_axioms"]
 
 
 def test_validate_reuses_the_stored_effect_body(dd_calls, gallery_systems):
@@ -255,6 +259,90 @@ def test_hull_self_check_catches_a_wrong_facet(monkeypatch):
     monkeypatch.setattr(geometry, "_dd", _negate_first_ray(geometry._dd))
     with pytest.raises(SelfCheckError):
         hull_reduce([qvec(0, 0), qvec(1, 0), qvec(0, 1), qvec(1, 1)])
+
+
+def _first_misplaced(rays, lin, rows):
+    """The plain product loop: the first (facet, row index) whose product is
+    negative or whose zero disagrees with the mask; "lin" when only a
+    lineality vector fails; None when everything holds."""
+    for g, mask in rays:
+        for i, row in enumerate(rows):
+            v = geometry._idot(g, row)
+            if v < 0 or (v == 0) != bool(mask >> i & 1):
+                return g, i
+    if any(geometry._idot(l, row) for l in lin for row in rows):
+        return "lin"
+    return None
+
+
+BIG = 2 ** 300
+entries = st.one_of(st.integers(-BIG, BIG), st.sampled_from([0, 1, -1, BIG, -BIG, BIG - 1]))
+
+
+@st.composite
+def incidence_cases(draw):
+    """Rows (lifted points: the last entry is nonnegative), the DD pair of
+    their cone of valid inequalities, and on most draws one mutant: a mask
+    bit flipped, a facet coordinate moved by one, or a nonzero vector
+    in the lineality."""
+    dim = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 40 if dim <= 4 else 12))
+    rows = [tuple(draw(entries) for _ in range(dim - 1)) + (draw(st.integers(0, BIG)),)
+            for _ in range(n)]
+    rays, lin = geometry._dd(rows, dim)
+    kind = draw(st.sampled_from(["none", "mask", "coord", "lin"]))
+    if kind in ("mask", "coord") and rays:
+        k = draw(st.integers(0, len(rays) - 1))
+        g, mask = rays[k]
+        if kind == "mask":
+            rays[k] = (g, mask ^ 1 << draw(st.integers(0, n - 1)))
+        else:
+            j = draw(st.integers(0, dim - 1))
+            g = list(g)
+            g[j] += draw(st.sampled_from([1, -1]))
+            rays[k] = (tuple(g), mask)
+    elif kind == "lin":
+        extra = tuple(draw(entries) for _ in range(dim))
+        if any(extra):
+            lin = lin + [extra]
+    return rays, lin, rows
+
+
+@settings(max_examples=300)
+@given(incidence_cases())
+def test_packed_incidence_check_matches_the_product_loop(case):
+    rays, lin, rows = case
+    names = [f"p{i}" for i in range(len(rows))]
+    expected = _first_misplaced(rays, lin, rows)
+    if expected is None:
+        geometry._check_incidence(rays, lin, rows, names)
+        return
+    with pytest.raises(SelfCheckError) as err:
+        geometry._check_incidence(rays, lin, rows, names)
+    if expected == "lin":
+        assert str(err.value) == "an affine-hull equation fails on an input point"
+    else:
+        g, i = expected
+        assert str(err.value) == f"facet {g} misplaces input point p{i}"
+
+
+def test_packed_incidence_check_at_the_width_bound():
+    # products of size D R G, the bound the field width is chosen for, each
+    # way round, for every row length and entry sizes across byte edges
+    for dim in range(1, 9):
+        for bits in range(1, 40, 3):
+            r, g = 2 ** bits - 1, 2 ** (bits + 5) - 1
+            for rows in ([(r,) * dim, (1,) * dim], [(r,) * dim, (-r,) * dim]):
+                for sign in (1, -1):
+                    ray = tuple(sign * g for _ in range(dim))
+                    mask = sum(1 << i for i, row in enumerate(rows)
+                               if geometry._idot(ray, row) == 0)
+                    case = ([(ray, mask)], [], rows)
+                    if _first_misplaced(*case) is None:
+                        geometry._check_incidence(*case, rows)
+                    else:
+                        with pytest.raises(SelfCheckError):
+                            geometry._check_incidence(*case, rows)
 
 
 class _MembershipThatForgets:

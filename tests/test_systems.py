@@ -5,16 +5,18 @@ from fractions import Fraction
 
 import pytest
 
+from gptgeom import systems
 from gptgeom.gallery import load
 from gptgeom.geometry import (
     EmptyIntersectionError,
     Halfspace,
+    Polytope,
     hrep_to_vrep,
     hull_reduce,
     positive_cone,
     set_equal,
 )
-from gptgeom.linalg import SingularMatrixError, qvec, unit_vector
+from gptgeom.linalg import QVec, SingularMatrixError, qvec, rank, unit_vector, zero_vector
 from gptgeom.systems import (
     EffectSpace,
     GptClass,
@@ -23,6 +25,7 @@ from gptgeom.systems import (
     StateSpace,
     Transform,
     UnboundedError,
+    Violation,
     admits_gtt,
     check_system,
     classify,
@@ -350,3 +353,72 @@ def test_decompose_in_transformed_effects():
     a, b = decompose_in_cone(target, sys.effects)
     assert cone.contains(a) and cone.contains(b)
     assert a - b == target
+
+
+# -- integer effect axioms against the Fraction route ------------------------------
+
+
+def _fraction_effect_axioms(polytope, unit):
+    """The earlier route: complement closure on a set of Fraction vertices,
+    spanning by ``rank``."""
+    out = []
+    if not polytope.contains(zero_vector(polytope.dim)) or not polytope.contains(unit):
+        out.append(Violation("MissingZeroOrUnit",
+                             "effect space must contain the zero and unit effects"))
+    else:
+        verts = set(polytope.vertices)
+        missing = next((e for e in polytope.vertices if unit - e not in verts), None)
+        if missing is not None:
+            out.append(Violation("NotComplementClosed", f"complement of {missing} missing"))
+    if rank(polytope.vertices) < polytope.dim:
+        out.append(Violation("DoesNotSpan", "effects do not span the ambient space"))
+    return out
+
+
+def _rational_transform_of(dim):
+    """An upper triangular matrix with non-integer entries, so the unit of
+    the image has denominators."""
+    return Transform([[F(2, 3) if i == j else F(1, 2) if j == i + 1 else 0
+                       for j in range(dim)] for i in range(dim)])
+
+
+@pytest.fixture(scope="module")
+def bodies(gallery_systems, random_systems):
+    """(E, u) of the gallery, the fixture systems, the disc families at
+    n = 3..32 and rational-unit images of a sample of them."""
+    from gptgeom.smooth import AnuBit, NoisyRebit, Rebit, discretize
+    pool = [sys for _, sys in gallery_systems] + list(random_systems)
+    for family in (Rebit(), NoisyRebit(F(1, 2)), AnuBit()):
+        pool += [discretize(family, n).system for n in range(3, 33)]
+    pool += [transform_system(sys, _rational_transform_of(sys.dim))
+             for sys in pool[:7] + pool[7:57:5]]
+    return [(sys.effects.polytope, sys.unit) for sys in pool]
+
+
+def test_integer_effect_axioms_match_the_fraction_route(bodies):
+    assert any(u != unit_vector(len(u)) and any(c.denominator > 1 for c in u)
+               for _, u in bodies)
+    for body, unit in bodies:
+        assert systems._effect_axioms(body, unit) == _fraction_effect_axioms(body, unit) == []
+
+
+def test_integer_effect_axioms_name_the_same_missing_complement(bodies):
+    for body, unit in bodies:
+        verts = body.vertices
+        inner = [v for v in verts if not v.is_zero() and v != unit and unit - v != v]
+        for v in {inner[0], inner[len(inner) // 2]} if inner else ():
+            dropped = Polytope._raw(tuple(w for w in verts if w != v))
+            got = systems._effect_axioms(dropped, unit)
+            assert got == _fraction_effect_axioms(dropped, unit)
+            assert got == [Violation("NotComplementClosed", f"complement of {unit - v} missing")]
+
+
+def test_integer_effect_axioms_find_a_flat_body(bodies):
+    for body, unit in bodies:
+        if unit != unit_vector(body.dim):
+            continue
+        # dropping the first coordinate keeps 0, u and complement closure
+        flat = hull_reduce([QVec([0] + list(v[1:])) for v in body.vertices])
+        got = systems._effect_axioms(flat, unit)
+        assert got == _fraction_effect_axioms(flat, unit)
+        assert got == [Violation("DoesNotSpan", "effects do not span the ambient space")]

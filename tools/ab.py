@@ -6,10 +6,12 @@ Each directory is a full checkout (for example ``git archive REV | tar -x
 -C DIR``).  Pair i runs ``perfbench/run.py --workload W --seed SEED+i
 --seconds S --trace 0`` in both, S being ``run_seconds`` of the change's
 ``BENCHMARK.json``, the parent first in even pairs and the change first in
-odd ones, so slow stretches of a shared machine fall on both sides alike.  It prints every pair's end-to-end metrics, then, per
-metric, each side's median and quartiles and the change's wins, ties and
-losses, where "better" follows the metric's direction in the change's
-``BENCHMARK.json``; failed ops are printed by side.  Exit status 1 if any
+odd ones, so slow stretches of a shared machine fall on both sides alike.
+It prints every pair's end-to-end metrics, then, per metric, each side's
+median and quartiles and the change's wins, ties and losses, where
+"better" follows the metric's direction in the change's
+``BENCHMARK.json``; then each side's ``git_rev`` and ``src_lines``, read
+from the harness's header line, and its failed ops.  Exit status 1 if any
 run failed to finish or had a failed op.  Runs write their records under
 each checkout's ``perfbench/out``; no file of the benchmark is changed.
 """
@@ -35,7 +37,16 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict |
     if proc.returncode != 0 or not lines:
         sys.stderr.write(proc.stderr)
         return None
-    return json.loads(lines[-1])
+    return dict(json.loads(lines[-1]), meta=header_fields(lines))
+
+
+def header_fields(lines: list[str]) -> dict[str, str]:
+    """The ``key=value`` fields of the run's ``# git_rev=... src_lines=...``
+    header line; empty when there is none."""
+    for line in lines:
+        if line.startswith("# git_rev="):
+            return dict(field.split("=", 1) for field in line[2:].split())
+    return {}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -80,7 +91,7 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
 
-    pairs, failed = [], {side: 0 for side in SIDES}
+    pairs, failed, meta = [], {side: 0 for side in SIDES}, {}
     ok = True
     for i in range(args.pairs):
         seed = args.seed + i
@@ -93,6 +104,7 @@ def main(argv=None) -> int:
                 ok = False
             else:
                 failed[side] += res[side]["failed"]
+                meta.setdefault(side, res[side]["meta"])
         if None in res.values():
             continue
         pairs.append((res["parent"], res["change"]))
@@ -108,6 +120,10 @@ def main(argv=None) -> int:
               + "/".join(f"{v:.4g}" for v in s["parent"]) + ", change "
               + "/".join(f"{v:.4g}" for v in s["change"])
               + f"; change wins {s['wins']}, ties {s['ties']}, losses {s['losses']}")
+    for side in SIDES:
+        fields = meta.get(side, {})
+        print(f"{side}: git_rev {fields.get('git_rev', '?')}, "
+              f"src_lines {fields.get('src_lines', '?')}")
     print("failed ops: " + ", ".join(f"{side} {failed[side]}" for side in SIDES))
     return 0 if ok and not any(failed.values()) else 1
 
