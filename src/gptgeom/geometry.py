@@ -11,7 +11,8 @@ its incidence, which keeps the exactness argument in one place:
 - :func:`hull_reduce` runs one pass over the lifted points; the rays are
   the facets, and a point is a vertex iff the points tight on all of its
   facets are the point alone.
-- :func:`hrep_to_vrep` runs one pass over the halfspaces; for a
+- :func:`hrep_to_vrep` runs one pass over the halfspaces, inserted in
+  lexicographic order with the masks mapped back to the input rows; for a
   full-dimensional body the input halfspaces with maximal tight vertex
   sets are kept as its facets.
 
@@ -103,6 +104,14 @@ def _dd(normals: Sequence[IntVec], dim: int
     criterion (no third ray is tight on a superset of their common tight
     set).  The lineality space is maintained explicitly and split off one
     pivot at a time.  On return each mask covers all rows of ``normals``.
+
+    The rows are inserted in the order given, and the cost depends heavily
+    on it (Fukuda & Prodon 1996; Avis, Bremner & Seidel 1997).
+    :func:`hrep_to_vrep` passes its rows sorted lexicographically (cdd's
+    "lexmin") and maps each mask back to its input rows: for E(S) of the
+    512-gon that cuts the pass from about 7 s to 1 s.  :func:`_hull` keeps
+    the sorted point order :func:`hull_reduce` gives it, which measured
+    faster than a shuffle or an extreme-points-first order.
     """
     lin: list[IntVec] = [
         tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)
@@ -499,7 +508,14 @@ def hrep_to_vrep(halfspaces: Sequence[Halfspace]) -> Polytope:
     """Vertices of a bounded halfspace intersection.
 
     When the body is full-dimensional it keeps, as its facets, the input
-    halfspaces whose tight vertex sets are maximal (one per set).  Raises
+    halfspaces whose tight vertex sets are maximal (one per set), in input
+    order.  The homogenized rows reach :func:`_dd` in lexicographic order,
+    which makes the pass several times faster than the caller's order (for
+    E(S) the pair 0 <= w.e <= 1 per state vertex); each mask is mapped back
+    to input row indices before it is read, so the kept facets, the vertex
+    tuple and the errors do not depend on the insertion order.  Only this
+    direction is reordered: hull input keeps its sorted point order, which
+    was the fastest order measured there (see :func:`_dd`).  Raises
     UnboundedError when the intersection has a recession direction and
     EmptyIntersectionError when it is empty.
     """
@@ -510,12 +526,15 @@ def hrep_to_vrep(halfspaces: Sequence[Halfspace]) -> Polytope:
         raise DimensionMismatchError("halfspaces of mixed dimension")
     rows = [h.inormal + (-h.ioffset,) for h in halfspaces]
     rows.append((0,) * dim + (1,))  # homogenization s >= 0
-    rays, lin = _dd(rows, dim + 1)
+    order = sorted(range(len(rows)), key=rows.__getitem__)
+    rays, lin = _dd([rows[i] for i in order], dim + 1)
     vertices = []
     recession = False
     for g, mask in rays:
         head, s = g[:dim], g[dim]
         if s > 0:
+            # bit k of the DD mask is sorted row k, input row order[k]
+            mask = sum(1 << order[k] for k in _bits(mask))
             vertices.append((QVec(Fraction(x, s) for x in head), mask))
         elif any(head):
             recession = True

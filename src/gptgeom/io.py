@@ -58,8 +58,8 @@ def polytope_to_json(p: Polytope) -> dict:
 
 
 def polytope_from_json(d: dict, dim: int | None = None) -> Polytope:
-    if not _fits(d, {"vertices": list}):
-        raise SchemaError("polytope object needs a 'vertices' list")
+    if not _fits(d, {"vertices": list}) or not d["vertices"]:
+        raise SchemaError("polytope object needs a nonempty 'vertices' list")
     return hull_reduce([vector_from_json(c, dim) for c in d["vertices"]])
 
 
@@ -90,7 +90,13 @@ def bodies_from_json(d: dict) -> tuple[Polytope, Polytope]:
     dim = d["dimension"]
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 2:
         raise SchemaError("'dimension' must be an integer >= 2 (ambient dimension)")
-    return polytope_from_json(d["states"], dim), polytope_from_json(d["effects"], dim)
+    bodies = []
+    for key in ("states", "effects"):
+        try:
+            bodies.append(polytope_from_json(d[key], dim))
+        except SchemaError as exc:
+            raise SchemaError(f"{key!r}: {exc}") from exc
+    return bodies[0], bodies[1]
 
 
 def system_from_json(d: dict) -> tuple[GptSystem, dict[str, Observable]]:

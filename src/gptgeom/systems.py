@@ -25,6 +25,7 @@ from .linalg import (
     SingularMatrixError,
     _bareiss,
     as_integers,
+    integerize,
     invert_matrix,
     matvec,
     transpose,
@@ -438,12 +439,27 @@ class Transform:
         return Transform(self.inverse)
 
 
+def _image(p: Polytope, point_map, normal_map) -> Polytope:
+    """p under an invertible linear map, with its known facets carried
+    along as primitive integer pairs: n.x >= c becomes
+    normal_map(n).x' >= c, so no DD pass is made.  Unknown facets stay
+    unknown."""
+    facets = None
+    if p._facets is not None:
+        ints = [integerize(tuple(normal_map(h.normal)) + (h.offset,)) for h in p._facets]
+        facets = tuple(Halfspace._from_ints(v[:-1], v[-1]) for v in ints)
+    return Polytope._raw(tuple(sorted(map(point_map, p.vertices))), facets)
+
+
 def transform_system(sys: GptSystem, t: Transform, name: str = "") -> GptSystem:
-    """Apply an invertible representation change to a whole system."""
+    """Apply an invertible representation change to a whole system.
+
+    States map by M and effects by M^-T, so a state facet b.w >= c maps to
+    (M^-T b).w' >= c and an effect facet a.e >= c to (M a).e' >= c."""
     if len(t.matrix) != sys.dim:
         raise SingularMatrixError("transform dimension differs from system")
-    new_states = Polytope._raw(tuple(sorted(t.apply_state(w) for w in sys.states.polytope.vertices)))
-    new_effects = Polytope._raw(tuple(sorted(t.apply_effect(e) for e in sys.effects.polytope.vertices)))
+    new_states = _image(sys.states.polytope, t.apply_state, t.apply_effect)
+    new_effects = _image(sys.effects.polytope, t.apply_effect, t.apply_state)
     new_unit = t.apply_effect(sys.unit)
     return _system(
         StateSpace(new_states, new_unit),

@@ -136,6 +136,22 @@ def test_cli_float_rejected_exit_code(tmp_path):
     assert main(["classify", str(path)]) == 3
 
 
+def test_cli_empty_vertex_list_names_file_and_body(tmp_path, capsys):
+    doc = system_to_json(load("bit").gpt_system())
+    for body in ("states", "effects"):
+        bad = copy.deepcopy(doc)
+        bad[body]["vertices"] = []
+        path = tmp_path / f"empty-{body}.json"
+        path.write_text(json.dumps(bad))
+        with pytest.raises(SchemaError, match=body):
+            system_from_json(bad)
+        for verb in ("classify", "validate"):
+            assert main([verb, str(path)]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path}: '{body}': "), err
+            assert "nonempty 'vertices'" in err
+
+
 def test_cli_recover(tmp_path, capsys):
     sys_path = _write_system(tmp_path, "bit")
     samples = {

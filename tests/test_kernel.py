@@ -33,6 +33,7 @@ from gptgeom.systems import (
     admits_gtt,
     classify,
     decompose_in_cone,
+    effect_constraints,
     unrestricted_effects,
     validate_system,
 )
@@ -459,6 +460,111 @@ def test_kept_facets_are_the_irredundant_input(pts, extra):
     assert q._facets is not None
     assert set(q.facets) == set(vrep_to_hrep(p))
     assert len(q.facets) == len(set(q.facets))
+
+
+# -- lexicographic row order in hrep_to_vrep ---------------------------------------
+
+_DEGENERATE = [
+    # octahedron: four facets through every vertex
+    [qvec(1, 0, 0), qvec(-1, 0, 0), qvec(0, 1, 0), qvec(0, -1, 0), qvec(0, 0, 1),
+     qvec(0, 0, -1)],
+    # square pyramid: four facets through the apex
+    [qvec(1, 1, 0), qvec(1, -1, 0), qvec(-1, 1, 0), qvec(-1, -1, 0), qvec(0, 0, 2)],
+    # 4-dimensional cross polytope: eight facets through every vertex
+    [qvec(*(s if j == i else 0 for j in range(4))) for i in range(4) for s in (1, -1)],
+]
+
+
+@st.composite
+def halfspace_lists(draw):
+    """A halfspace list around the facets of a hull (drawn points, or one
+    of the degenerate bodies above) and one shuffle of it.  Duplicates,
+    rescaled and loosened copies are added; on some draws facets are
+    dropped (maybe unbounded), a cut through the centroid adds new
+    vertices, or a reversed facet moved past the body empties it."""
+    pts = draw(st.one_of(point_sets(min_points=4), st.sampled_from(_DEGENERATE)))
+    p = hull_reduce(pts)
+    hs = list(p.facets)
+    copies = st.sampled_from(hs)
+    hs += draw(st.lists(copies, max_size=3))
+    hs += [Halfspace(h.normal * r, h.offset * r)
+           for h, r in draw(st.lists(st.tuples(copies, st.sampled_from([F(2), F(1, 3)])),
+                                     max_size=3))]
+    hs += [Halfspace(h.normal, h.offset - t)
+           for h, t in draw(st.lists(st.tuples(copies, st.sampled_from([F(1, 2), F(1)])),
+                                     max_size=3))]
+    for _ in range(draw(st.integers(0, 2))):
+        if len(hs) > 1:
+            hs.pop(draw(st.integers(0, len(hs) - 1)))
+    normal = QVec(draw(st.tuples(*[coord] * p.dim)))
+    if draw(st.booleans()) and not normal.is_zero():
+        hs.append(Halfspace(normal, normal.dot(p.centroid())))
+    if draw(st.integers(0, 5)) == 5:
+        h = draw(copies)
+        hs.append(Halfspace(-h.normal, 1 - h.offset))
+    return hs, draw(st.permutations(hs))
+
+
+def _h_outcome(hs):
+    """The vertex tuple and kept facets of hrep_to_vrep, or its error type."""
+    try:
+        q = hrep_to_vrep(hs)
+    except ValueError as exc:
+        return type(exc)
+    return q.vertices, q._facets
+
+
+def _brute_kept(hs, vertices):
+    """The kept facets from the definition: each halfspace's tight vertex
+    set by direct evaluation, the first halfspace (input order) of every
+    maximal nonempty set, or None when one is tight on every vertex."""
+    tight = [frozenset(v for v in vertices if h.evaluate(v) == 0) for h in hs]
+    if frozenset(vertices) in tight:
+        return None
+    kept = [j for j, t in enumerate(tight)
+            if t and not any(t < u for u in tight) and tight.index(t) == j]
+    return tuple(hs[j] for j in kept)
+
+
+@settings(max_examples=200)
+@given(halfspace_lists())
+def test_hrep_answers_do_not_depend_on_row_order(case):
+    hs, shuffled = case
+    given_order, other = _h_outcome(hs), _h_outcome(shuffled)
+    if isinstance(given_order, type):
+        assert other is given_order
+        return
+    vertices, kept = given_order
+    assert other[0] == vertices
+    assert all(h.evaluate(v) >= 0 for h in hs for v in vertices)
+    assert kept == _brute_kept(hs, vertices)
+    assert other[1] == _brute_kept(shuffled, vertices)
+
+
+def test_hrep_gives_dd_its_rows_sorted(monkeypatch):
+    hs = effect_constraints(load("squit").gpt_system().states)
+    rows = [h.inormal + (-h.ioffset,) for h in hs] + [(0, 0, 0, 1)]
+    assert rows != sorted(rows)  # the caller's order is not already sorted
+    seen = []
+    real = geometry._dd
+
+    def recorded(normals, dim):
+        seen.append(list(normals))
+        return real(normals, dim)
+
+    monkeypatch.setattr(geometry, "_dd", recorded)
+    body = hrep_to_vrep(hs)
+    assert seen == [sorted(rows)]
+    assert body._facets == tuple(h for h in hs if h in set(body._facets))
+
+
+def test_effect_body_of_the_256_gon():
+    states = StateSpace(smooth.disc_polygon_states(256), qvec(0, 0, 1))
+    hs = effect_constraints(states)
+    body = hrep_to_vrep(hs)
+    assert len(body.vertices) == 514
+    # every input halfspace is a facet, kept in input order
+    assert body._facets == tuple(hs)
 
 
 def _classify_via_cones(sys):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from gptgeom import systems
+from gptgeom import geometry, systems
 from gptgeom.gallery import load
 from gptgeom.geometry import (
     EmptyIntersectionError,
@@ -15,6 +15,7 @@ from gptgeom.geometry import (
     hull_reduce,
     positive_cone,
     set_equal,
+    vrep_to_hrep,
 )
 from gptgeom.linalg import QVec, SingularMatrixError, qvec, rank, unit_vector, zero_vector
 from gptgeom.systems import (
@@ -323,6 +324,25 @@ def test_random_transform_roundtrip_and_invariance(rng):
         assert set_equal(back.states.polytope, sys.states.polytope)
         assert set_equal(back.effects.polytope, sys.effects.polytope)
         assert classify(moved).tag is classify(sys).tag
+
+
+def test_transform_carries_the_facets(monkeypatch):
+    sys = load("squit").gpt_system()
+    t = Transform([[1, F(2, 3), 0], [0, 1, F(1, 2)], [0, 0, 1]])
+    calls = []
+    real = geometry._dd
+    monkeypatch.setattr(geometry, "_dd", lambda rows, dim: calls.append(rows) or real(rows, dim))
+    moved = transform_system(sys, t)
+    images = (moved.states.polytope.facets, moved.effects.polytope.facets)
+    assert calls == []
+    monkeypatch.undo()
+    for body, facets in zip((moved.states.polytope, moved.effects.polytope), images):
+        assert set(facets) == set(vrep_to_hrep(body))
+    assert classify(moved).tag is classify(sys).tag
+    # a body whose facets are unknown maps to one whose facets are unknown
+    bare = GptSystem(StateSpace(Polytope._raw(sys.states.polytope.vertices)),
+                     EffectSpace(Polytope._raw(sys.effects.polytope.vertices)))
+    assert transform_system(bare, t).states.polytope._facets is None
 
 
 def test_singular_transform_rejected():
