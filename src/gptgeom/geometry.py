@@ -109,9 +109,9 @@ def _dd(normals: Sequence[IntVec], dim: int
     on it (Fukuda & Prodon 1996; Avis, Bremner & Seidel 1997).
     :func:`hrep_to_vrep` passes its rows sorted lexicographically (cdd's
     "lexmin") and maps each mask back to its input rows: for E(S) of the
-    512-gon that cuts the pass from about 7 s to 1 s.  :func:`_hull` keeps
-    the sorted point order :func:`hull_reduce` gives it, which measured
-    faster than a shuffle or an extreme-points-first order.
+    512-gon that cuts the pass from about 8 s to about 1 s.  :func:`_hull`
+    keeps the sorted point order :func:`hull_reduce` gives it, which
+    measured faster than a shuffle or an extreme-points-first order.
     """
     lin: list[IntVec] = [
         tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)
