@@ -59,22 +59,28 @@ class CliError(Exception):
         self.code = code
 
 
+def _load_entry(args):
+    """The gallery entry --family names at --p, and its system, or with --n
+    a smooth family's discretization.  A flag the entry does not take exits 3."""
+    name = f"{args.family}({args.p})" if args.p else args.family
+    try:
+        entry = gallery_mod.load(name)
+    except gallery_mod.UnknownNameError as exc:
+        raise CliError(str(exc), 3)
+    if args.n is None:
+        return entry, entry.system
+    if entry.kind != "smooth":
+        raise CliError(f"{entry.name} has exact vertices; --n applies only to "
+                       f"smooth families", 3)
+    return entry, discretize(entry.system, args.n)
+
+
 def _load_system(args):
     """Resolve the target system from --family/--input/positional path,
     with the observables that come with it."""
     if args.family:
-        name = args.family
-        if args.p:
-            name = f"{name}({args.p})"
-        try:
-            entry = gallery_mod.load(name)
-        except gallery_mod.UnknownNameError as exc:
-            raise CliError(str(exc), 3)
-        if entry.kind == "smooth":
-            if args.n is not None:
-                return discretize(entry.system, args.n), entry.observables
-            return entry.system, entry.observables
-        return entry.gpt_system(), entry.observables
+        entry, target = _load_entry(args)
+        return target, entry.observables
     path = args.path or args.input
     if not path:
         raise CliError("no input: give a system JSON path or --family", 3)
@@ -130,15 +136,19 @@ def cmd_validate(args) -> int:
     return 0
 
 
+def _describe(target) -> str:
+    """The classification line of a system, smooth family or discretization."""
+    if isinstance(target, SmoothFamily):
+        return smooth_classify(target).describe()
+    if isinstance(target, DiscretizedSystem):
+        return (f"{target.classify().describe()}  [polygonal approximant n={target.n}, "
+                f"vertex error <= {target.vertex_error}]")
+    return classify(target).describe()
+
+
 def cmd_classify(args) -> int:
     target, _ = _load_system(args)
-    if isinstance(target, SmoothFamily):
-        print(smooth_classify(target).describe())
-    elif isinstance(target, DiscretizedSystem):
-        print(f"{target.classify().describe()}  [polygonal approximant n={target.n}, "
-              f"vertex error <= {target.vertex_error}]")
-    else:
-        print(classify(target).describe())
+    print(_describe(target))
     return 0
 
 
@@ -223,23 +233,15 @@ def cmd_gallery(args) -> int:
         for name in gallery_mod.NAMES:
             print(name)
         return 0
-    try:
-        entry = gallery_mod.load(args.path)
-    except gallery_mod.UnknownNameError as exc:
-        raise CliError(str(exc), 3)
+    args.family, args.path = args.path, None  # the positional names the entry
     if args.output:
-        if entry.kind != "smooth":
-            system = entry.gpt_system()
-        elif args.n is not None:
-            system = discretize(entry.system, args.n).system
-        else:
-            raise CliError(f"{entry.name} has no exact vertices to export; "
-                           f"use --n to export a discretization", 3)
-        _write_output(args.output, dump_canonical(system_to_json(system, entry.observables)))
+        system, observables = _load_exact_system(args)
+        _write_output(args.output, dump_canonical(system_to_json(system, observables)))
         return 0
+    entry, target = _load_entry(args)
     print(f"{entry.name}: expected {entry.expected.value}")
     print(f"  source: {entry.source}")
-    print(f"  {entry.classify().describe()}")
+    print(f"  {_describe(target)}")
     return 0
 
 

@@ -13,19 +13,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Optional
 
 from .geometry import Polytope, hull_reduce, positive_cone, set_equal
 from .linalg import parse_rational, qvec, unit_vector, zero_vector
 from .observables import Observable
-from .smooth import (
-    AnuBit,
-    DiscretizedSystem,
-    NoisyRebit,
-    Rebit,
-    discretize,
-    smooth_classify,
-)
+from .smooth import AnuBit, NoisyRebit, Rebit, discretize, smooth_classify
 from .systems import (
     Classification,
     EffectSpace,
@@ -33,6 +27,7 @@ from .systems import (
     GptSystem,
     Transform,
     classify,
+    noisy_effects,
     states_from_effects,
     transform_system,
     unrestricted_effects,
@@ -47,7 +42,7 @@ class UnknownNameError(KeyError):
 @dataclass(frozen=True)
 class GalleryEntry:
     name: str
-    system: object  # GptSystem | SmoothFamily | DiscretizedSystem
+    system: object  # GptSystem | SmoothFamily
     expected: GptClass
     expected_effect_map: Optional[Polytope] = None  # full effect body of S
     expected_state_map: Optional[Polytope] = None   # recovered-state body of E
@@ -56,17 +51,11 @@ class GalleryEntry:
 
     @property
     def kind(self) -> str:
-        if isinstance(self.system, GptSystem):
-            return "polytopic"
-        if isinstance(self.system, DiscretizedSystem):
-            return "discretized"
-        return "smooth"
+        return "polytopic" if isinstance(self.system, GptSystem) else "smooth"
 
     def gpt_system(self) -> GptSystem:
         if isinstance(self.system, GptSystem):
             return self.system
-        if isinstance(self.system, DiscretizedSystem):
-            return self.system.system
         raise TypeError(f"{self.name} is a smooth family without exact vertices")
 
     def classify(self) -> Classification:
@@ -74,19 +63,6 @@ class GalleryEntry:
             return smooth_classify(self.system)
         return classify(self.gpt_system())
 
-
-NAMES = (
-    "bit",
-    "bit-transformed",
-    "noisy-bit",
-    "notch-bit",
-    "squit",
-    "spekkens",
-    "rebit-64",
-    "rebit",
-    "noisy-rebit",
-    "anu-bit",
-)
 
 DEFAULT_NOISE = Fraction(1, 2)
 
@@ -131,14 +107,7 @@ def _noisy_bit(p: Fraction) -> GalleryEntry:
     if not 0 < p <= 1:
         raise ValueError(f"noise parameter must be in (0, 1], got {p}")
     states, full_effects, unit = _transformed_bit_parts()
-    pts = [zero_vector(2), unit]
-    for e in full_effects.vertices:
-        if e.is_zero() or e == unit:
-            continue
-        pts.append(e * p)
-        pts.append(unit - e * p)
-    effects = hull_reduce(pts)
-    sys = validate_system(states, effects, f"noisy-bit({p})")
+    sys = validate_system(states, noisy_effects(full_effects, unit, p), f"noisy-bit({p})")
     expected = GptClass.UNRESTRICTED if p == 1 else GptClass.NOISY_UNRESTRICTED
     return GalleryEntry(
         name=f"noisy-bit({p})",
@@ -217,77 +186,68 @@ def _spekkens() -> GalleryEntry:
 
 
 def _rebit_64() -> GalleryEntry:
-    ds = discretize(Rebit(), 64)
     return GalleryEntry(
         name="rebit-64",
-        system=ds,
+        system=discretize(Rebit(), 64).system,
         expected=GptClass.UNRESTRICTED,
         source="64-gon polygonal stand-in for the disc-state system",
     )
 
 
-def _smooth_entries(name: str, p: Fraction) -> GalleryEntry:
-    if name == "rebit":
-        return GalleryEntry(
-            name="rebit",
-            system=Rebit(),
-            expected=GptClass.UNRESTRICTED,
-            source="disc-state system (real-amplitude two-level model)",
-        )
-    if name == "noisy-rebit":
-        expected = GptClass.UNRESTRICTED if p == 1 else GptClass.NOISY_UNRESTRICTED
-        return GalleryEntry(
-            name=f"noisy-rebit({p})",
-            system=NoisyRebit(p),
-            expected=expected,
-            source="disc-state system with efficiency-limited measurements",
-        )
-    if name == "anu-bit":
-        return GalleryEntry(
-            name="anu-bit",
-            system=AnuBit(),
-            expected=GptClass.ALMOST_NU_ONLY,
-            source="bit restricted to a two-disc intersection; effect cone "
-                   "open at its boundary rays",
-        )
-    raise UnknownNameError(name)
+def _noisy_rebit(p: Fraction) -> GalleryEntry:
+    expected = GptClass.UNRESTRICTED if p == 1 else GptClass.NOISY_UNRESTRICTED
+    return GalleryEntry(
+        name=f"noisy-rebit({p})",
+        system=NoisyRebit(p),
+        expected=expected,
+        source="disc-state system with efficiency-limited measurements",
+    )
 
+
+# name -> (builder, whether it takes the parameter p); the one list of names.
+# The smooth families without a parameter are plain data.
+_TABLE = {
+    "bit": (_bit, False),
+    "bit-transformed": (_bit_transformed, False),
+    "noisy-bit": (_noisy_bit, True),
+    "notch-bit": (_notch_bit, False),
+    "squit": (_squit, False),
+    "spekkens": (_spekkens, False),
+    "rebit-64": (_rebit_64, False),
+    "rebit": (partial(GalleryEntry, "rebit", Rebit(), GptClass.UNRESTRICTED,
+                      source="disc-state system (real-amplitude two-level model)"), False),
+    "noisy-rebit": (_noisy_rebit, True),
+    "anu-bit": (partial(GalleryEntry, "anu-bit", AnuBit(), GptClass.ALMOST_NU_ONLY,
+                        source="bit restricted to a two-disc intersection; effect cone "
+                               "open at its boundary rays"), False),
+}
+
+NAMES = tuple(_TABLE)
 
 _PARAM_RE = re.compile(r"^([a-z0-9-]+)\((.+)\)$")
 
 
 def load(name: str) -> GalleryEntry:
     """Look up a gallery entry; parametrized names take a rational argument,
-    e.g. 'noisy-bit(1/3)'."""
+    e.g. 'noisy-bit(1/3)', and default to p = 1/2.  A parameter given to an
+    entry that takes none is an unknown name."""
     base, param = name, None
     m = _PARAM_RE.match(name.strip())
     if m:
         base, param = m.group(1), parse_rational(m.group(2))
-    if base not in NAMES:
+    if base not in _TABLE:
         raise UnknownNameError(f"unknown gallery entry {name!r}; known: {', '.join(NAMES)}")
-    p = param if param is not None else DEFAULT_NOISE
-    if base == "bit":
-        return _bit()
-    if base == "bit-transformed":
-        return _bit_transformed()
-    if base == "noisy-bit":
-        return _noisy_bit(p)
-    if base == "notch-bit":
-        return _notch_bit()
-    if base == "squit":
-        return _squit()
-    if base == "spekkens":
-        return _spekkens()
-    if base == "rebit-64":
-        return _rebit_64()
-    return _smooth_entries(base, p)
+    build, takes_p = _TABLE[base]
+    if takes_p:
+        return build(DEFAULT_NOISE if param is None else param)
+    if param is not None:
+        raise UnknownNameError(f"gallery entry {base!r} takes no parameter, got {name!r}")
+    return build()
 
 
 def polytopic_entries() -> list[GalleryEntry]:
     """The entries with exact vertex data (includes the 64-gon stand-in)."""
-    return [load(n) for n in
-            ("bit", "bit-transformed", "noisy-bit", "notch-bit", "squit",
-             "spekkens", "rebit-64")]
+    return [e for e in all_entries() if e.kind == "polytopic"]
 
 
 def all_entries() -> list[GalleryEntry]:

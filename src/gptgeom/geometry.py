@@ -309,8 +309,7 @@ class Cone:
     keeps the extreme ones; a non-pointed cone carries its lineality as
     antipodal generator pairs.  It makes two dual passes: the first gives
     the homogeneous H-representation, the second the generators.
-    ``Cone._raw(gens)`` keeps the generators as given and derives the
-    H-representation by one dual pass on first use.  Both keep integer
+    ``Cone._raw(gens, halfspaces)`` keeps both as given.  Both keep integer
     copies of the normals for membership tests.
     """
 
@@ -323,13 +322,13 @@ class Cone:
         dim = len(gens[0])
         if any(len(g) != dim for g in gens):
             raise DimensionMismatchError("cone generators of mixed dimension")
-        dual = dual_cone(Cone._raw(tuple(gens)))
+        dual = dual_cone(Cone._raw(tuple(gens), None))  # dual_cone reads only rays
         self.rays = dual_cone(dual).rays
         self._halfspaces = dual.rays
         self._inormals = None
 
     @classmethod
-    def _raw(cls, rays: tuple[QVec, ...], halfspaces=None) -> "Cone":
+    def _raw(cls, rays: tuple[QVec, ...], halfspaces) -> "Cone":
         c = object.__new__(cls)
         c.rays = rays
         c._halfspaces = halfspaces
@@ -343,8 +342,6 @@ class Cone:
     @property
     def halfspaces(self) -> tuple[QVec, ...]:
         """Normals n with cone = {x : n.x >= 0 for all n}."""
-        if self._halfspaces is None:
-            self._halfspaces = dual_cone(self).rays
         return self._halfspaces
 
     def contains(self, x, strict: bool = False) -> bool:

@@ -21,6 +21,7 @@ from .systems import (
     StateSpace,
     _system,
     classify as classify_polytopic,
+    noisy_effects,
     unrestricted_effects,
 )
 
@@ -65,11 +66,7 @@ class NoisyRebit:
 
     def effect_contains(self, x: QVec) -> bool:
         x = _check(x, 3)
-        c = x[2]
-        if c < 0 or c > 1:
-            return False
-        r = min(c, 1 - c, self.p / 2)
-        return x[0] ** 2 + x[1] ** 2 <= r * r
+        return Rebit().effect_contains(x) and 4 * (x[0] ** 2 + x[1] ** 2) <= self.p ** 2
 
 
 @dataclass(frozen=True)
@@ -271,14 +268,8 @@ def discretize(family: SmoothFamily, n: int) -> DiscretizedSystem:
     if isinstance(family, Rebit):
         sys = _system(states, EffectSpace(full), name=f"disc-polygon-{n}")
     else:
-        unit = states.unit
-        pts = [QVec([0, 0, 0]), unit]
-        for e in full.vertices:
-            if e.is_zero() or e == unit:
-                continue
-            pts.append(e * family.p)
-            pts.append(unit - e * family.p)
-        sys = _system(states, EffectSpace(hull_reduce(pts)), name=f"noisy-disc-polygon-{n}")
+        effects = noisy_effects(full, states.unit, family.p)
+        sys = _system(states, EffectSpace(effects), name=f"noisy-disc-polygon-{n}")
     return DiscretizedSystem(family, n, sys, polygon_vertex_error(n))
 
 

@@ -139,6 +139,8 @@ def render_system(sys: GptSystem, slice_at: Fraction = Fraction(1, 2),
     effect body.
     """
     dim = sys.dim
+    if not 2 <= dim <= 4:
+        raise ValueError(f"plot supports dimensions 2 to 4, not dimension {dim}")
     parts = []
     width = 2 * _PANEL
     if dim == 2:

@@ -303,6 +303,13 @@ def unrestricted_effects(states: StateSpace) -> Polytope:
     return states._effect_body
 
 
+def noisy_effects(full: Polytope, unit: QVec, p: Fraction) -> Polytope:
+    """The noisy restriction of the effect body ``full``, which keeps its cone:
+    the hull of 0, u, and p.e and u - p.e for every other vertex e."""
+    scaled = [e * p for e in full.vertices if not e.is_zero() and e != unit]
+    return hull_reduce([zero_vector(len(unit)), unit] + scaled + [unit - e for e in scaled])
+
+
 def _cone_normals(effects: EffectSpace) -> list[tuple[int, ...]]:
     """Integer normals a of E's facets a.x >= 0 through the origin: cone(E),
     the tangent cone of E at 0, is {x : a.x >= 0 for every a}, and the

@@ -47,6 +47,12 @@ def test_unknown_name():
         load("qubit")
 
 
+@pytest.mark.parametrize("name", ["bit(7)", "squit(1/3)", "rebit-64(1/2)", "anu-bit(1)"])
+def test_parameter_on_an_entry_without_one_is_unknown(name):
+    with pytest.raises(UnknownNameError):
+        load(name)
+
+
 def test_corrupted_entry_fails_alone():
     entries = [load(n) for n in ("bit", "squit")]
     broken = dataclasses.replace(entries[0], expected=GptClass.NOT_ALMOST_NU)
@@ -64,7 +70,9 @@ def test_empty_filter_gives_empty_report():
 def test_seven_polytopic_entries():
     entries = polytopic_entries()
     assert len(entries) == 7
-    assert all(e.kind in ("polytopic", "discretized") for e in entries)
+    assert all(e.kind == "polytopic" for e in entries)
+    assert [e.name for e in entries] == ["bit", "bit-transformed", "noisy-bit(1/2)",
+                                         "notch-bit", "squit", "spekkens", "rebit-64"]
 
 
 def test_substitute_coordinates_flagged():

@@ -1,0 +1,52 @@
+"""Source hygiene of ``src/gptgeom``, read with ``ast``: no unused imports
+and no private module-level function that nothing references, so deletions
+leave no dead helpers behind."""
+import ast
+from collections import Counter
+from pathlib import Path
+
+import gptgeom
+
+SRC = Path(gptgeom.__file__).parent
+MODULES = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+
+
+def _references(nodes) -> Counter:
+    """Names read by plain name or attribute, and names imported by name."""
+    refs = Counter()
+    for node in nodes:
+        if isinstance(node, ast.Name):
+            refs[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            refs[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(a.name for a in node.names)
+    return refs
+
+
+def test_no_unused_imports():
+    unused = []
+    for name, tree in MODULES.items():
+        if name == "__init__.py":  # its imports are the package's exports
+            continue
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for a in node.names:
+                    imported[a.asname or a.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for a in node.names:
+                    imported[a.asname or a.name] = node.lineno
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [f"{name}:{line} {alias}" for alias, line in imported.items()
+                   if alias not in used]
+    assert unused == []
+
+
+def test_every_private_function_is_referenced():
+    everywhere = _references(n for tree in MODULES.values() for n in ast.walk(tree))
+    dead = [f"{name}:{fn.lineno} {fn.name}"
+            for name, tree in MODULES.items() for fn in tree.body
+            if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_")
+            and everywhere[fn.name] == _references(ast.walk(fn))[fn.name]]
+    assert dead == []

@@ -25,9 +25,9 @@ from gptgeom.io import (
     system_to_json,
 )
 from gptgeom.frames import FrameSamples
-from gptgeom.geometry import set_equal
+from gptgeom.geometry import hull_reduce, set_equal
 from gptgeom.linalg import qvec
-from gptgeom.systems import classify
+from gptgeom.systems import StateSpace, classify, unrestricted_effects, validate_system
 
 F = Fraction
 
@@ -262,6 +262,59 @@ def test_cli_gallery_exports_a_smooth_family_at_n(tmp_path, capsys):
 
 def test_cli_gallery_unknown(capsys):
     assert main(["gallery", "qutrit"]) == 3
+
+
+def test_cli_gallery_inspects_an_entry(capsys):
+    assert main(["gallery", "spekkens"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "spekkens: expected NotAlmostNu",
+        f"  source: {load('spekkens').source}",
+        "  NotAlmostNu; admits GTT: no; witness: (-1/2, -1/2, -1/2, 1/2)",
+    ]
+    assert main(["gallery", "noisy-bit", "--p", "1/3"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "noisy-bit(1/3): expected NoisyUnrestricted"
+    assert main(["gallery", "anu-bit", "--n", "8"]) == 0
+    assert "polygonal approximant n=8" in capsys.readouterr().out
+
+
+def test_cli_gallery_export_applies_p(tmp_path, capsys):
+    path = tmp_path / "noisy.json"
+    assert main(["gallery", "noisy-bit", "--p", "1/3", "--output", str(path)]) == 0
+    system, _ = system_from_json(json.loads(path.read_text()))
+    assert system.name == "noisy-bit(1/3)"
+    expected = load("noisy-bit(1/3)").gpt_system()
+    assert set_equal(system.effects.polytope, expected.effects.polytope)
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--family", "squit", "--p", "1/3"],
+    ["classify", "--family", "rebit", "--p", "1/3"],
+    ["gallery", "bit", "--p", "1/2"],
+    ["classify", "--family", "bit", "--n", "8"],
+    ["classify", "--family", "rebit-64", "--n", "8"],
+    ["emap", "--family", "noisy-bit", "--n", "8"],
+    ["gallery", "squit", "--n", "8"],
+])
+def test_cli_flag_that_does_not_apply_exits_3(tmp_path, capsys, argv):
+    out = tmp_path / "out.json"
+    for extra in ([], ["--output", str(out)]):
+        _assert_input_error(capsys, argv + extra)
+        assert not out.exists()
+
+
+def test_cli_plot_outside_dimensions_2_to_4_exits_3(tmp_path, capsys):
+    # the classical 5-level system: simplex states, hypercube effects
+    states = StateSpace(hull_reduce([qvec(*([0] * 4 + [1]))] + [
+        qvec(*([0] * i + [1] + [0] * (3 - i) + [1])) for i in range(4)]))
+    system = validate_system(states, unrestricted_effects(states), "classical-5")
+    path = tmp_path / "five.json"
+    path.write_text(dump_canonical(system_to_json(system)))
+    out = tmp_path / "five.svg"
+    assert main(["plot", str(path), "--output", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "dimension 5" in err and "2 to 4" in err
+    assert not out.exists()
 
 
 def test_cli_suite(capsys):

@@ -2,8 +2,13 @@
 
     python3 tools/ab.py PARENT_DIR CHANGE_DIR --workload query --pairs 10 --seed 401
 
-Each directory is a full checkout (for example ``git archive REV | tar -x
--C DIR``).  Pair i runs ``perfbench/run.py --workload W --seed SEED+i
+Each directory is a full git checkout of one revision, made with
+
+    git clone -q --no-checkout REPO DIR && git -C DIR checkout -q --detach REV
+
+so the harness can read the revision from ``DIR/.git`` (an exported tree,
+such as ``git archive REV | tar -x -C DIR``, has no ``.git`` and reports
+``git_rev unknown``).  Pair i runs ``perfbench/run.py --workload W --seed SEED+i
 --seconds S --trace 0`` in both, S being ``run_seconds`` of the change's
 ``BENCHMARK.json``, the parent first in even pairs and the change first in
 odd ones, so slow stretches of a shared machine fall on both sides alike.
