@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 suite/gallery failures, 2 validation failure
-(with a structured axiom report), 3 I/O or parse errors, a malformed
+(with a structured axiom report), 3 usage, I/O or parse errors, a malformed
 system, sample or pipeline document among them.  ``main(argv)`` returns
 the exit code and can be called repeatedly in one process: the parser is
 built on the first call and reused.
@@ -14,14 +14,14 @@ import random
 import sys as _sys
 from fractions import Fraction
 
-from . import gallery as gallery_mod
+from . import gallery as gallery_mod, randomgen
 from .frames import (
     InconsistentSamplesError,
     NotAStateError,
     UnderDeterminedError,
     recover_state,
 )
-from .geometry import dual_cone, positive_cone, set_equal, slice_cone
+from .geometry import SelfCheckError, dual_cone, positive_cone, set_equal, slice_cone
 from .io import (
     SchemaError,
     bodies_from_json,
@@ -59,14 +59,19 @@ class CliError(Exception):
         self.code = code
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is an input error: exit 3
+        raise CliError(f"{self.prog}: {message}", 3)
+
+
 def _load_entry(args):
     """The gallery entry --family names at --p, and its system, or with --n
     a smooth family's discretization.  A flag the entry does not take exits 3."""
-    name = f"{args.family}({args.p})" if args.p else args.family
+    name = args.family if args.p is None else f"{args.family}({args.p})"
     try:
         entry = gallery_mod.load(name)
     except gallery_mod.UnknownNameError as exc:
-        raise CliError(str(exc), 3)
+        raise CliError(exc.args[0], 3)  # str() of a KeyError quotes it
     if args.n is None:
         return entry, entry.system
     if entry.kind != "smooth":
@@ -76,31 +81,38 @@ def _load_entry(args):
 
 
 def _load_system(args):
-    """Resolve the target system from --family/--input/positional path,
-    with the observables that come with it."""
+    """The system the file ``args.path`` or --family names, with the
+    observables that come with it.  --p and --n apply only to --family, and
+    a file given with --family exits 3."""
     if args.family:
+        if args.path:
+            raise CliError(f"give a system file or --family, not both: {args.path}", 3)
         entry, target = _load_entry(args)
         return target, entry.observables
-    path = args.path or args.input
-    if not path:
+    if args.p is not None or args.n is not None:
+        raise CliError("--p and --n apply only to --family", 3)
+    if not args.path:
         raise CliError("no input: give a system JSON path or --family", 3)
     try:
-        return system_from_json(load_json(path))
+        return system_from_json(load_json(args.path))
     except (OSError, SchemaError) as exc:
-        raise CliError(f"{path}: {exc}", 3)
+        raise CliError(f"{args.path}: {exc}", 3)
+
+
+def _exact_system(target, family, default_n=None):
+    """``target`` narrowed to a GptSystem; a smooth family is discretized at
+    ``default_n`` and is an input error without one."""
+    if isinstance(target, SmoothFamily):
+        if default_n is None:
+            raise CliError(f"{family} has no exact vertices; give --n", 3)
+        target = discretize(target, default_n)
+    return target.system if isinstance(target, DiscretizedSystem) else target
 
 
 def _load_exact_system(args, default_n=None):
-    """:func:`_load_system` narrowed to a GptSystem; a smooth family is
-    discretized at ``default_n`` and is an input error without one."""
-    system, extra = _load_system(args)
-    if isinstance(system, SmoothFamily):
-        if default_n is None:
-            raise CliError(f"{args.family} has no exact vertices; give --n", 3)
-        system = discretize(system, default_n)
-    if isinstance(system, DiscretizedSystem):
-        system = system.system
-    return system, extra
+    """:func:`_load_system` narrowed by :func:`_exact_system`."""
+    target, extra = _load_system(args)
+    return _exact_system(target, args.family, default_n), extra
 
 
 def _print_violations(violations):
@@ -121,13 +133,10 @@ def _write_output(path, text: str):
 
 
 def cmd_validate(args) -> int:
-    path = args.path or args.input
-    if not path:
-        raise CliError("validate needs a system JSON path", 3)
     try:
-        states, effects = bodies_from_json(load_json(path))
+        states, effects = bodies_from_json(load_json(args.file))
     except (OSError, SchemaError) as exc:
-        raise CliError(f"{path}: {exc}", 3)
+        raise CliError(f"{args.file}: {exc}", 3)
     violations = check_system(states, effects)
     if violations:
         _print_violations(violations)
@@ -167,13 +176,10 @@ def cmd_wmap(args) -> int:
 
 
 def cmd_recover(args) -> int:
-    if not args.path:
-        raise CliError("recover needs a frame-samples JSON path", 3)
     try:
-        samples = samples_from_json(load_json(args.path))
+        samples = samples_from_json(load_json(args.samples))
     except (OSError, ValueError) as exc:
-        raise CliError(f"{args.path}: {exc}", 3)
-    args.path = None  # the system comes from --input/--family
+        raise CliError(f"{args.samples}: {exc}", 3)
     system, _ = _load_exact_system(args)
     try:
         w = recover_state(samples, system)
@@ -186,8 +192,6 @@ def cmd_recover(args) -> int:
 
 def cmd_simulate(args) -> int:
     system, system_obs = _load_exact_system(args)
-    if not args.pipeline:
-        raise CliError("simulate needs --pipeline <json>", 3)
     try:
         table, steps, emit = pipeline_from_json(load_json(args.pipeline), system.dim)
     except (OSError, SchemaError) as exc:
@@ -219,8 +223,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_plot(args) -> int:
     system, _ = _load_exact_system(args, default_n=64)
-    slice_at = parse_rational(args.slice) if args.slice else Fraction(1, 2)
-    svg = render_system(system, slice_at=slice_at, show_cones=args.cones,
+    svg = render_system(system, slice_at=args.slice, show_cones=args.cones,
                         float_view=args.float_view)
     out = args.output or "system.svg"
     _write_output(out, svg)
@@ -229,16 +232,15 @@ def cmd_plot(args) -> int:
 
 
 def cmd_gallery(args) -> int:
-    if not args.path:
+    if not args.family:
         for name in gallery_mod.NAMES:
             print(name)
         return 0
-    args.family, args.path = args.path, None  # the positional names the entry
-    if args.output:
-        system, observables = _load_exact_system(args)
-        _write_output(args.output, dump_canonical(system_to_json(system, observables)))
-        return 0
     entry, target = _load_entry(args)
+    if args.output:
+        system = _exact_system(target, args.family)
+        _write_output(args.output, dump_canonical(system_to_json(system, entry.observables)))
+        return 0
     print(f"{entry.name}: expected {entry.expected.value}")
     print(f"  source: {entry.source}")
     print(f"  {_describe(target)}")
@@ -253,11 +255,10 @@ def cmd_suite(args) -> int:
         print(line)
 
     rng = random.Random(20260810)
-    from .randomgen import random_system
     # W(E) from E's facets through 0 against the cone route over E's vertices
     w_routes = True
     for _ in range(10 if args.n is None else args.n):
-        system = random_system(rng, rng.choice([2, 3, 3, 4]))
+        system = randomgen.random_system(rng, rng.choice([2, 3, 3, 4]))
         via_cones = slice_cone(dual_cone(positive_cone(system.effects.polytope)), system.unit, 1)
         w_routes &= set_equal(states_from_effects(system.effects), via_cones)
 
@@ -265,7 +266,7 @@ def cmd_suite(args) -> int:
     for entry in gallery_mod.polytopic_entries():
         try:
             admits_gtt(entry.gpt_system())  # checks the tag against W(E) = S
-        except AssertionError:
+        except SelfCheckError:
             agrees = False
 
     failures = report.failures
@@ -277,52 +278,70 @@ def cmd_suite(args) -> int:
     return 0 if failures == 0 else 1
 
 
+# The arguments a verb can take: add_argument's name or flag, and its keywords.
+_ARGUMENTS = {
+    "file": dict(metavar="path", help="system JSON file"),
+    "path": dict(nargs="?", help="system JSON file (or give --family)"),
+    "samples": dict(help="frame-samples JSON file"),
+    "--input": dict(dest="path", help="system JSON file (or give --family)"),
+    "family": dict(nargs="?", metavar="NAME", help="gallery entry (default: list them)"),
+    "--family": dict(help="gallery family name instead of a file"),
+    "--p": dict(type=parse_rational, help="noise/efficiency parameter as a rational, e.g. 1/2"),
+    "--n": dict(type=int, help="polygon vertex count for discretizations"),
+    "--output": dict(help="output path (default: stdout)"),
+    "--pipeline": dict(required=True, help="simulation pipeline JSON"),
+    "--slice": dict(type=parse_rational, default=Fraction(1, 2),
+                    help="fixed last coordinate for 3D/4D effect plots"),
+    "--cones": dict(action="store_true", help="draw dual-cone rays"),
+    "--float-view": dict(action="store_true", help="annotate plots with decimal approximations"),
+}
+_SYSTEM = ("path", "--family", "--p", "--n")  # the arguments that pick a system
 _VERBS = (
-    ("validate", cmd_validate, "check the axioms of a system JSON file"),
-    ("classify", cmd_classify, "classify a system and report the GTT verdict"),
-    ("emap", cmd_emap, "compute the full effect body of the system's states"),
-    ("wmap", cmd_wmap, "compute the recovered state body of the system's effects"),
-    ("recover", cmd_recover, "reconstruct the state of a frame-sample file"),
-    ("simulate", cmd_simulate, "run mix/coarse/noisy pipelines over observables"),
-    ("plot", cmd_plot, "render state and effect bodies to SVG"),
-    ("gallery", cmd_gallery, "list, inspect or export built-in systems"),
-    ("suite", cmd_suite, "run the gallery regression and property checks"),
+    ("validate", cmd_validate, "check the axioms of a system JSON file", ("file",)),
+    ("classify", cmd_classify, "classify a system and report the GTT verdict", _SYSTEM),
+    ("emap", cmd_emap, "compute the full effect body of the system's states",
+     (*_SYSTEM, "--output")),
+    ("wmap", cmd_wmap, "compute the recovered state body of the system's effects",
+     (*_SYSTEM, "--output")),
+    ("recover", cmd_recover, "reconstruct the state of a frame-sample file",
+     ("samples", "--input", "--family", "--p", "--n")),
+    ("simulate", cmd_simulate, "run mix/coarse/noisy pipelines over observables",
+     (*_SYSTEM, "--pipeline", "--output")),
+    ("plot", cmd_plot, "render state and effect bodies to SVG",
+     (*_SYSTEM, "--slice", "--cones", "--float-view", "--output")),
+    ("gallery", cmd_gallery, "list, inspect or export built-in systems",
+     ("family", "--p", "--n", "--output")),
+    ("suite", cmd_suite, "run the gallery regression and property checks", ("--n",)),
 )
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process: every verb takes the same options.
+    """The one parser of the process: each verb takes the arguments its
+    ``_VERBS`` row lists, and a usage error raises :class:`CliError`.
 
     Built on first use and kept; ``parse_args`` returns a fresh namespace
     per call, so no call's state stays on the parser.
     """
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("path", nargs="?", help="input file (or gallery name for 'gallery')")
-    common.add_argument("--input", help="input path (alternative to the positional)")
-    common.add_argument("--output", help="output path (default: stdout)")
-    common.add_argument("--family", help="gallery family name instead of a file")
-    common.add_argument("--p", help="noise/efficiency parameter as a rational, e.g. 1/2")
-    common.add_argument("--n", type=int, help="polygon vertex count for discretizations")
-    common.add_argument("--slice", help="fixed last coordinate for 3D/4D effect plots")
-    common.add_argument("--pipeline", help="simulation pipeline JSON (simulate)")
-    common.add_argument("--cones", action="store_true", help="draw dual-cone rays (plot)")
-    common.add_argument("--float-view", dest="float_view", action="store_true",
-                        help="annotate plots with decimal approximations")
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gptgeom",
         description="Exact convex-geometry toolkit for general probabilistic theories",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-    for name, func, help_text in _VERBS:
-        sub.add_parser(name, help=help_text, parents=[common]).set_defaults(func=func)
+    for name, func, help_text, arguments in _VERBS:
+        verb = sub.add_parser(name, help=help_text)
+        verb.set_defaults(func=func)
+        for key in arguments:
+            verb.add_argument(key, **_ARGUMENTS[key])
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # --help printed the usage
+        return exc.code
     except CliError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return exc.code

@@ -10,7 +10,9 @@ import math
 from fractions import Fraction
 from operator import mul
 
-from .geometry import Halfspace, Polytope, hrep_to_vrep, positive_cone, EmptyIntersectionError
+from .geometry import (
+    EmptyIntersectionError, Halfspace, Polytope, dual_cone, hrep_to_vrep, positive_cone,
+)
 from .linalg import QVec, as_integers
 from .systems import GptSystem
 
@@ -153,7 +155,6 @@ def render_system(sys: GptSystem, slice_at: Fraction = Fraction(1, 2),
         parts.append(_polygon_svg(eff_px, "#cdd6f4", "#445", "effects", _PAD, 16))
         parts.append(_polygon_svg(st_px, "none", "#a33", "states", _PAD, 30))
         if show_cones:
-            from .geometry import dual_cone
             for ray in dual_cone(positive_cone(sys.states.polytope)).rays:
                 x0, y0 = to_px((0.0, 0.0))
                 rx, ry = _f(ray[0]), _f(ray[1])

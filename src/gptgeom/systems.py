@@ -400,7 +400,7 @@ def admits_gtt(sys: GptSystem) -> bool:
     """Whether every frame function on E comes from a state in S.
 
     Computed twice: from the classification tag and from the direct
-    recovered-states equality W(E) = S; the two routes must agree.  The tag
+    recovered-states equality W(E) = S; SelfCheckError if they disagree.  The tag
     is read from the stored classification; W(E) is deliberately not
     stored, so each call re-derives it as the hull of E's scaled facet
     normals (one DD pass) and the cross-check stays independent of every
@@ -411,7 +411,7 @@ def admits_gtt(sys: GptSystem) -> bool:
     via_tag = classify(sys).admits_gtt
     via_w = set_equal(states_from_effects(sys.effects), sys.states.polytope)
     if via_tag != via_w:
-        raise AssertionError(
+        raise SelfCheckError(
             "classification and recovered-state check disagree; "
             "this contradicts the noisy-unrestricted characterization"
         )

@@ -1,6 +1,6 @@
-"""Source hygiene of ``src/gptgeom``, read with ``ast``: no unused imports
-and no private module-level function that nothing references, so deletions
-leave no dead helpers behind."""
+"""Source hygiene of ``src/gptgeom``, read with ``ast``: no unused imports,
+no import inside a function body, and no private module-level function that
+nothing references, so deletions leave no dead helpers behind."""
 import ast
 from collections import Counter
 from pathlib import Path
@@ -41,6 +41,13 @@ def test_no_unused_imports():
         unused += [f"{name}:{line} {alias}" for alias, line in imported.items()
                    if alias not in used]
     assert unused == []
+
+
+def test_no_imports_inside_functions():
+    nested = {f"{name}:{node.lineno}" for name, tree in MODULES.items()
+              for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))}
+    assert nested == set()
 
 
 def test_every_private_function_is_referenced():

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import gptgeom
 from gptgeom.cli import build_parser, main
-from gptgeom.gallery import load, polytopic_entries
+from gptgeom.gallery import NAMES, load, polytopic_entries
 from gptgeom.io import (
     SchemaError,
     dump_canonical,
@@ -262,6 +262,8 @@ def test_cli_gallery_exports_a_smooth_family_at_n(tmp_path, capsys):
 
 def test_cli_gallery_unknown(capsys):
     assert main(["gallery", "qutrit"]) == 3
+    assert capsys.readouterr().err == \
+        f"error: unknown gallery entry 'qutrit'; known: {', '.join(NAMES)}\n"
 
 
 def test_cli_gallery_inspects_an_entry(capsys):
@@ -295,8 +297,17 @@ def test_cli_gallery_export_applies_p(tmp_path, capsys):
     ["classify", "--family", "rebit-64", "--n", "8"],
     ["emap", "--family", "noisy-bit", "--n", "8"],
     ["gallery", "squit", "--n", "8"],
+    # FILE stands for a system file: --p and --n go with --family, not with a file
+    ["classify", "FILE", "--p", "1/3"],
+    ["classify", "FILE", "--n", "8"],
+    ["classify", "--family", "noisy-bit", "--p", ""],
+    ["classify", "FILE", "--family", "spekkens"],
+    ["emap", "--family", "bit", "--input", "missing.json"],
+    ["plot", "FILE", "--slice", ""],
 ])
 def test_cli_flag_that_does_not_apply_exits_3(tmp_path, capsys, argv):
+    path = str(_write_system(tmp_path, "squit"))
+    argv = [path if a == "FILE" else a for a in argv]
     out = tmp_path / "out.json"
     for extra in ([], ["--output", str(out)]):
         _assert_input_error(capsys, argv + extra)
@@ -359,7 +370,6 @@ def test_cli_smooth_family_needs_n_for_exact_verbs(tmp_path, capsys):
 
 
 def test_cli_classify_agrees_on_every_gallery_entry(capsys):
-    from gptgeom.gallery import NAMES
     for name in NAMES:
         assert main(["classify", "--family", name]) == 0
         out = capsys.readouterr().out.strip()
@@ -440,16 +450,50 @@ def test_cli_parser_reuse_keeps_no_state(capsys):
     assert build_parser.cache_info().misses == 1
 
 
-def test_every_verb_takes_every_shared_option():
-    argv = ["x", "--input", "i", "--output", "o", "--family", "f", "--p", "1/2",
-            "--n", "3", "--slice", "1/4", "--pipeline", "pl", "--cones", "--float-view"]
-    for verb in ("validate", "classify", "emap", "wmap", "recover", "simulate",
-                 "plot", "gallery", "suite"):
-        args = build_parser().parse_args([verb, *argv])
-        assert args.func.__name__ == f"cmd_{verb}"
-        assert (args.path, args.input, args.output, args.family, args.p, args.n,
-                args.slice, args.pipeline, args.cones, args.float_view) == \
-            ("x", "i", "o", "f", "1/2", 3, "1/4", "pl", True, True)
+# the ten arguments every verb took before each verb declared its own, with
+# the value each parses to
+_OLD_ARGUMENTS = {
+    "path": (["x"], "x"), "--input": (["--input", "i"], "i"),
+    "--output": (["--output", "o"], "o"), "--family": (["--family", "f"], "f"),
+    "--p": (["--p", "1/3"], F(1, 3)), "--n": (["--n", "3"], 3),
+    "--slice": (["--slice", "1/4"], F(1, 4)), "--pipeline": (["--pipeline", "pl"], "pl"),
+    "--cones": (["--cones"], True), "--float-view": (["--float-view"], True),
+}
+_SYSTEM_ARGUMENTS = ["path", "--family", "--p", "--n"]
+_VERB_ARGUMENTS = {  # "path" is each verb's positional, whatever its name
+    "validate": ["path"],
+    "classify": _SYSTEM_ARGUMENTS,
+    "emap": _SYSTEM_ARGUMENTS + ["--output"],
+    "wmap": _SYSTEM_ARGUMENTS + ["--output"],
+    "recover": ["path", "--input", "--family", "--p", "--n"],
+    "simulate": _SYSTEM_ARGUMENTS + ["--pipeline", "--output"],
+    "plot": _SYSTEM_ARGUMENTS + ["--slice", "--cones", "--float-view", "--output"],
+    "gallery": ["path", "--p", "--n", "--output"],
+    "suite": ["--n"],
+}
+_REQUIRED = {"validate": ["path"], "recover": ["path"], "simulate": ["--pipeline"]}
+
+
+def test_each_verb_takes_only_its_arguments(capsys):
+    assert sum(map(len, _VERB_ARGUMENTS.values())) == 39
+    for verb, takes in _VERB_ARGUMENTS.items():
+        for arg, (tokens, value) in _OLD_ARGUMENTS.items():
+            argv = [verb]
+            for required in _REQUIRED.get(verb, []):
+                if required != arg:
+                    argv += _OLD_ARGUMENTS[required][0]
+            argv += tokens
+            if arg in takes:
+                args = build_parser().parse_args(argv)
+                assert args.func.__name__ == f"cmd_{verb}"
+                assert value in vars(args).values(), (verb, arg)
+            else:
+                assert main(argv) == 3, (verb, arg)
+                err = capsys.readouterr().err
+                assert err.startswith("error: gptgeom: unrecognized arguments: ")
+                assert tokens[0] in err
+        assert main([verb, "--help"]) == 0
+        assert capsys.readouterr().out.startswith(f"usage: gptgeom {verb} ")
 
 
 # -- fuzzing the input documents ------------------------------------------------

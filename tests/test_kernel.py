@@ -160,7 +160,7 @@ def test_admits_gtt_derives_w_on_every_call(dd_calls):
 def test_admits_gtt_catches_a_wrong_stored_tag():
     sys = _fresh(load("spekkens").gpt_system())
     object.__setattr__(sys, "_classification", systems.Classification(GptClass.UNRESTRICTED))
-    with pytest.raises(AssertionError):
+    with pytest.raises(SelfCheckError):
         admits_gtt(sys)
 
 
