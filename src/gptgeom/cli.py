@@ -64,6 +64,15 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(f"{self.prog}: {message}", 3)
 
 
+def _rational(text: str) -> Fraction:
+    """:func:`parse_rational` as an argparse type, so that a malformed
+    literal is reported in its words rather than by the function's name."""
+    try:
+        return parse_rational(text)
+    except ExactArithmeticError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
 def _load_entry(args):
     """The gallery entry --family names at --p, and its system, or with --n
     a smooth family's discretization.  A flag the entry does not take exits 3."""
@@ -92,7 +101,8 @@ def _load_system(args):
     if args.p is not None or args.n is not None:
         raise CliError("--p and --n apply only to --family", 3)
     if not args.path:
-        raise CliError("no input: give a system JSON path or --family", 3)
+        where = "--input" if args.verb == "recover" else "a system JSON path"
+        raise CliError(f"no input: give {where} or --family", 3)
     try:
         return system_from_json(load_json(args.path))
     except (OSError, SchemaError) as exc:
@@ -223,11 +233,17 @@ def cmd_simulate(args) -> int:
 
 def cmd_plot(args) -> int:
     system, _ = _load_exact_system(args, default_n=64)
-    svg = render_system(system, slice_at=args.slice, show_cones=args.cones,
-                        float_view=args.float_view)
-    out = args.output or "system.svg"
-    _write_output(out, svg)
-    print(f"wrote {out}")
+    # the dimensions whose pictures each flag changes
+    for flag, given, dims in (("--slice", args.slice is not None, (3, 4)),
+                              ("--cones", args.cones, (2,)),
+                              ("--float-view", args.float_view, (2, 3))):
+        if given and system.dim not in dims:
+            raise CliError(f"{flag} applies in dimension {' and '.join(map(str, dims))}, "
+                           f"not in dimension {system.dim}", 3)
+    svg = render_system(system, slice_at=Fraction(1, 2) if args.slice is None else args.slice,
+                        show_cones=args.cones, float_view=args.float_view)
+    _write_output(args.output, svg)
+    print(f"wrote {args.output}")
     return 0
 
 
@@ -279,6 +295,7 @@ def cmd_suite(args) -> int:
 
 
 # The arguments a verb can take: add_argument's name or flag, and its keywords.
+# A verb lists an argument by its key, or as (key, keywords) to override some.
 _ARGUMENTS = {
     "file": dict(metavar="path", help="system JSON file"),
     "path": dict(nargs="?", help="system JSON file (or give --family)"),
@@ -286,14 +303,15 @@ _ARGUMENTS = {
     "--input": dict(dest="path", help="system JSON file (or give --family)"),
     "family": dict(nargs="?", metavar="NAME", help="gallery entry (default: list them)"),
     "--family": dict(help="gallery family name instead of a file"),
-    "--p": dict(type=parse_rational, help="noise/efficiency parameter as a rational, e.g. 1/2"),
+    "--p": dict(type=_rational, help="noise/efficiency parameter as a rational, e.g. 1/2"),
     "--n": dict(type=int, help="polygon vertex count for discretizations"),
     "--output": dict(help="output path (default: stdout)"),
     "--pipeline": dict(required=True, help="simulation pipeline JSON"),
-    "--slice": dict(type=parse_rational, default=Fraction(1, 2),
-                    help="fixed last coordinate for 3D/4D effect plots"),
-    "--cones": dict(action="store_true", help="draw dual-cone rays"),
-    "--float-view": dict(action="store_true", help="annotate plots with decimal approximations"),
+    "--slice": dict(type=_rational,
+                    help="fixed last coordinate of 3D/4D effect plots (default 1/2)"),
+    "--cones": dict(action="store_true", help="draw the state dual-cone rays (2D plots)"),
+    "--float-view": dict(action="store_true",
+                         help="label the effect vertices with decimals (2D/3D plots)"),
 }
 _SYSTEM = ("path", "--family", "--p", "--n")  # the arguments that pick a system
 _VERBS = (
@@ -308,10 +326,12 @@ _VERBS = (
     ("simulate", cmd_simulate, "run mix/coarse/noisy pipelines over observables",
      (*_SYSTEM, "--pipeline", "--output")),
     ("plot", cmd_plot, "render state and effect bodies to SVG",
-     (*_SYSTEM, "--slice", "--cones", "--float-view", "--output")),
+     (*_SYSTEM, "--slice", "--cones", "--float-view",
+      ("--output", dict(default="system.svg", help="output path (default: system.svg)")))),
     ("gallery", cmd_gallery, "list, inspect or export built-in systems",
-     ("family", "--p", "--n", "--output")),
-    ("suite", cmd_suite, "run the gallery regression and property checks", ("--n",)),
+     ("family", "--p", "--n", ("--output", dict(help="export the entry's system JSON here")))),
+    ("suite", cmd_suite, "run the gallery regression and property checks",
+     (("--n", dict(help="number of random systems to check (default 10)")),)),
 )
 
 
@@ -332,7 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
         verb = sub.add_parser(name, help=help_text)
         verb.set_defaults(func=func)
         for key in arguments:
-            verb.add_argument(key, **_ARGUMENTS[key])
+            key, keywords = (key, {}) if isinstance(key, str) else key
+            verb.add_argument(key, **{**_ARGUMENTS[key], **keywords})
     return parser
 
 

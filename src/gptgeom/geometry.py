@@ -5,16 +5,13 @@ The single computational core is an integer double-description pass
 the extreme rays of their intersection, each with its tight mask (bit ``i``
 set iff row ``i`` holds with equality on the ray), and a lineality basis.
 Facet enumeration, vertex enumeration, hull reduction and cone duality are
-all phrased as instances of this one primitive and read what they need from
-its incidence, which keeps the exactness argument in one place:
-
-- :func:`hull_reduce` runs one pass over the lifted points; the rays are
-  the facets, and a point is a vertex iff the points tight on all of its
-  facets are the point alone.
-- :func:`hrep_to_vrep` runs one pass over the halfspaces, inserted in
-  lexicographic order with the masks mapped back to the input rows; for a
-  full-dimensional body the input halfspaces with maximal tight vertex
-  sets are kept as its facets.
+all phrased as instances of this one primitive, and each result is read one
+way, which keeps the exactness argument in one place.  :func:`_irredundant`
+keeps the rows that are the only row tight on every ray tight at them:
+:func:`hull_reduce` reads the vertices from the facet masks of one pass over
+the lifted points, and :func:`hrep_to_vrep` the facets from the vertex masks
+of one pass over the distinct halfspaces.  :func:`_cone_from_normals` reads
+every cone's generators from one pass over its normals.
 
 Before the adjacency scan, a pair of rays is dropped when its common tight
 set has fewer than ``dim - len(lin) - 2`` members (one popcount), a
@@ -107,11 +104,13 @@ def _dd(normals: Sequence[IntVec], dim: int
 
     The rows are inserted in the order given, and the cost depends heavily
     on it (Fukuda & Prodon 1996; Avis, Bremner & Seidel 1997).
-    :func:`hrep_to_vrep` passes its rows sorted lexicographically (cdd's
-    "lexmin") and maps each mask back to its input rows: for E(S) of the
-    512-gon that cuts the pass from about 8 s to about 1 s.  :func:`_hull`
-    keeps the sorted point order :func:`hull_reduce` gives it, which
-    measured faster than a shuffle or an extreme-points-first order.
+    :func:`hrep_to_vrep` passes its distinct rows sorted lexicographically
+    (cdd's "lexmin"): for E(S) of the 512-gon that cuts the pass from about
+    8 s to about 1 s.  :func:`_hull` keeps the sorted point order
+    :func:`hull_reduce` gives it, which measured faster than a shuffle or
+    an extreme-points-first order.  These two and :func:`_cone_from_normals`
+    are its only callers, and the two that read masks pick vertices or
+    facets from them only through :func:`_irredundant`.
     """
     lin: list[IntVec] = [
         tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)
@@ -170,6 +169,18 @@ def _dd(normals: Sequence[IntVec], dim: int
                 new_rays.append((w, common | bit))
         rays = new_rays
     return rays, lin
+
+
+def _irredundant(masks: Iterable[int], n: int) -> list[int]:
+    """The rows, of n, that are the only row tight on every ray tight at
+    them: the vertices over a hull's facet masks (every face is cut out by
+    the facets containing it), the facets over a full-dimensional body's
+    vertex masks (see :func:`hrep_to_vrep`)."""
+    common = [(1 << n) - 1] * n
+    for mask in masks:
+        for i in _bits(mask):
+            common[i] &= mask
+    return [i for i in range(n) if common[i] == 1 << i]
 
 
 def _to_int(vecs: Iterable[Sequence[Fraction]]) -> list[IntVec]:
@@ -307,8 +318,9 @@ class Cone:
 
     ``Cone(gens)`` canonicalizes the generators up to positive scaling and
     keeps the extreme ones; a non-pointed cone carries its lineality as
-    antipodal generator pairs.  It makes two dual passes: the first gives
-    the homogeneous H-representation, the second the generators.
+    antipodal generator pairs.  Every cone is read from one DD pass over its
+    normals (:func:`_cone_from_normals`); ``Cone(gens)`` makes two, over the
+    generators for the dual, then over the dual's generators, its normals.
     ``Cone._raw(gens, halfspaces)`` keeps both as given.  Both keep integer
     copies of the normals for membership tests.
     """
@@ -322,7 +334,7 @@ class Cone:
         dim = len(gens[0])
         if any(len(g) != dim for g in gens):
             raise DimensionMismatchError("cone generators of mixed dimension")
-        dual = dual_cone(Cone._raw(tuple(gens), None))  # dual_cone reads only rays
+        dual = _cone_from_normals([g for g in gens if not g.is_zero()], dim)
         self.rays = dual_cone(dual).rays
         self._halfspaces = dual.rays
         self._inormals = None
@@ -375,17 +387,16 @@ class Cone:
         return f"Cone({len(self.rays)} rays in R^{self.dim})"
 
 
-def _cone_generators(rays: list[tuple[IntVec, int]], lin: list[IntVec], dim: int
-                     ) -> tuple[QVec, ...]:
-    """Canonical sorted generators from a DD result: the rays plus the
-    lineality basis as antipodal pairs; the origin alone when both are empty."""
-    out = [r for r, _ in rays]
+def _cone_from_normals(normals: Sequence[QVec], dim: int) -> Cone:
+    """The cone {x : n.x >= 0 for all n}, keeping the normals as its
+    halfspaces.  Its sorted generators are the DD rays and the lineality
+    basis as antipodal pairs, or the origin alone when both are empty."""
+    rays, lin = _dd(_to_int(normals), dim)
+    gens = [r for r, _ in rays]
     for l in lin:
-        out.append(l)
-        out.append(tuple(-x for x in l))
-    if not out:
-        return (zero_vector(dim),)
-    return tuple(sorted(QVec(_iprim(r)) for r in out))
+        gens += [l, tuple(-x for x in l)]
+    return Cone._raw(tuple(sorted(map(QVec, gens))) or (zero_vector(dim),),
+                     tuple(normals))
 
 
 # ---------------------------------------------------------------------------
@@ -468,9 +479,8 @@ def _hull(pts: list[QVec], dim: int) -> Polytope:
 
     A ray (a, t) is the valid inequality a.x + t >= 0.  Rays tight on some
     point are the facets relative to the affine hull, and the lineality
-    basis gives its equations.  Every face is cut out by the facets that
-    contain it, so a point is a vertex iff it is the only point tight on
-    all of its tight facets.
+    basis gives its equations.  The vertices are the points
+    :func:`_irredundant` keeps over the facet masks.
 
     Before the masks are read, :func:`_check_incidence` proves, for every
     lifted point, that it is on the valid side of every facet, that each
@@ -482,12 +492,7 @@ def _hull(pts: list[QVec], dim: int) -> Polytope:
     rays, lin = _dd(rows, dim + 1)
     _check_incidence(rays, lin, rows, pts)
     facet_rays = [(g, mask) for g, mask in rays if mask and any(g[:dim])]
-    # common[i]: the points tight on every facet that is tight at point i
-    common = [(1 << len(pts)) - 1] * len(pts)
-    for _, mask in facet_rays:
-        for i in _bits(mask):
-            common[i] &= mask
-    vertices = tuple(p for i, p in enumerate(pts) if common[i] == 1 << i)
+    vertices = tuple(pts[i] for i in _irredundant((m for _, m in facet_rays), len(pts)))
     facets = [Halfspace._from_ints(g[:dim], -g[dim]) for g, _ in facet_rays]
     for l in lin:
         facets.append(Halfspace._from_ints(l[:dim], -l[dim]))
@@ -504,34 +509,39 @@ def vrep_to_hrep(p: Polytope) -> list[Halfspace]:
 def hrep_to_vrep(halfspaces: Sequence[Halfspace]) -> Polytope:
     """Vertices of a bounded halfspace intersection.
 
-    When the body is full-dimensional it keeps, as its facets, the input
-    halfspaces whose tight vertex sets are maximal (one per set), in input
-    order.  The homogenized rows reach :func:`_dd` in lexicographic order,
-    which makes the pass several times faster than the caller's order (for
-    E(S) the pair 0 <= w.e <= 1 per state vertex); each mask is mapped back
-    to input row indices before it is read, so the kept facets, the vertex
-    tuple and the errors do not depend on the insertion order.  Only this
-    direction is reordered: hull input keeps its sorted point order, which
-    was the fastest order measured there (see :func:`_dd`).  Raises
-    UnboundedError when the intersection has a recession direction and
-    EmptyIntersectionError when it is empty.
+    :func:`_dd` gets each distinct homogenized row once (a repeated
+    halfspace as its first copy) in lexicographic order, several times
+    faster than the caller's order (for E(S) the pair 0 <= w.e <= 1 per
+    state vertex).  On a full-dimensional body the rows
+    :func:`_irredundant` keeps over the vertex masks are kept as its
+    facets, in input order.  They are the rows with maximal tight vertex
+    sets: a facet's vertices span its hyperplane, so the facet's primitive
+    row is the only row tight on all of them, and a row tight on a smaller
+    face shares its vertices with a facet through it.  A lower-dimensional
+    body has two or more rows tight on every vertex (each implicit
+    equation is a positive combination of others), so none is kept and its
+    facets are derived from the vertices on first use.  No answer depends
+    on the insertion order.  Hull input keeps its sorted point order, the
+    fastest measured there (see :func:`_dd`).  Raises UnboundedError when
+    the intersection has a recession direction and EmptyIntersectionError
+    when it is empty.
     """
     if not halfspaces:
         raise EmptyInputError("no halfspaces")
     dim = halfspaces[0].normal.dim
     if any(h.normal.dim != dim for h in halfspaces):
         raise DimensionMismatchError("halfspaces of mixed dimension")
-    rows = [h.inormal + (-h.ioffset,) for h in halfspaces]
-    rows.append((0,) * dim + (1,))  # homogenization s >= 0
-    order = sorted(range(len(rows)), key=rows.__getitem__)
-    rays, lin = _dd([rows[i] for i in order], dim + 1)
+    first: dict[IntVec, int] = {}  # each distinct row: its first input index
+    for i, h in enumerate(halfspaces):
+        first.setdefault(h.inormal + (-h.ioffset,), i)
+    first[(0,) * dim + (1,)] = len(halfspaces)  # homogenization s >= 0
+    rows = sorted(first)
+    rays, lin = _dd(rows, dim + 1)
     vertices = []
     recession = False
     for g, mask in rays:
         head, s = g[:dim], g[dim]
         if s > 0:
-            # bit k of the DD mask is sorted row k, input row order[k]
-            mask = sum(1 << order[k] for k in _bits(mask))
             vertices.append((QVec(Fraction(x, s) for x in head), mask))
         elif any(head):
             recession = True
@@ -541,36 +551,9 @@ def hrep_to_vrep(halfspaces: Sequence[Halfspace]) -> Polytope:
         raise EmptyIntersectionError("halfspace intersection is empty")
     if recession or lin:
         raise UnboundedError("halfspace intersection is unbounded")
-    facets = _kept_facets(halfspaces, [m for _, m in vertices])
-    return Polytope._raw(tuple(sorted(v for v, _ in vertices)), facets)
-
-
-def _kept_facets(halfspaces: Sequence[Halfspace], vertex_masks: list[int]):
-    """The irredundant input halfspaces of a full-dimensional body, or None
-    when some halfspace is tight on every vertex (a lower-dimensional body).
-
-    Every facet of a full-dimensional body is one of the input halfspaces,
-    and facets are its maximal proper faces, so a halfspace defines a facet
-    iff its tight vertex set is nonempty and not strictly contained in
-    another's.
-    """
-    tight = [0] * len(halfspaces)
-    for k, mask in enumerate(vertex_masks):
-        for j in _bits(mask):
-            if j < len(halfspaces):  # the last row is the homogenization
-                tight[j] |= 1 << k
-    every = (1 << len(vertex_masks)) - 1
-    if every in tight:
-        return None
-    kept: list[int] = []
-    # a strict superset has more members, so it is met first in this order
-    for j in sorted(range(len(tight)), key=lambda j: -tight[j].bit_count()):
-        t = tight[j]
-        if not t:
-            break
-        if not any(t & tight[k] == t for k in kept):
-            kept.append(j)
-    return tuple(halfspaces[j] for j in sorted(kept))
+    kept = sorted(first[rows[k]] for k in _irredundant((m for _, m in vertices), len(rows)))
+    return Polytope._raw(tuple(sorted(v for v, _ in vertices)),
+                         tuple(halfspaces[i] for i in kept) or None)
 
 
 def positive_cone(p: Polytope) -> Cone:
@@ -580,22 +563,17 @@ def positive_cone(p: Polytope) -> Cone:
 
 def dual_cone(c: Cone) -> Cone:
     """Vectors with nonnegative inner product against the whole cone."""
-    gens = [r for r in c.rays if not r.is_zero()]
-    # with no generators the pass returns the whole space as lineality
-    rays, lin = _dd(_to_int(gens), c.dim)
     # the generators of c are by definition valid halfspaces for the dual
-    return Cone._raw(_cone_generators(rays, lin, c.dim), halfspaces=tuple(gens))
+    return _cone_from_normals([r for r in c.rays if not r.is_zero()], c.dim)
 
 
 def cone_intersect(a: Cone, b: Cone) -> Cone:
     if a.dim != b.dim:
         raise DimensionMismatchError("cone intersection dimension mismatch")
-    normals = list(a.halfspaces) + list(b.halfspaces)
+    normals = a.halfspaces + b.halfspaces
     if not normals:
         raise EmptyInputError("cone intersection without constraints")
-    rays, lin = _dd(_to_int(normals), a.dim)
-    return Cone._raw(_cone_generators(rays, lin, a.dim),
-                     halfspaces=tuple(QVec(n) for n in normals))
+    return _cone_from_normals(normals, a.dim)
 
 
 def polytope_intersect(a: Polytope, b: Polytope) -> Polytope:
@@ -611,13 +589,14 @@ def slice_cone(c: Cone, normal, offset) -> Polytope:
     intersections such as cutting a state cone with the normalization
     hyperplane.
     """
-    normal = QVec(normal)
-    offset = as_fraction(offset)
     # the whole space has the zero vector as its only normal
-    constraints = [Halfspace(n, 0) for n in c.halfspaces if not n.is_zero()]
-    constraints.append(Halfspace(normal, offset))
-    constraints.append(Halfspace(-normal, -offset))
-    return hrep_to_vrep(constraints)
+    return _slice([Halfspace(n, 0) for n in c.halfspaces if not n.is_zero()], normal, offset)
+
+
+def _slice(halfspaces: Sequence[Halfspace], normal, offset) -> Polytope:
+    """The intersection of the halfspaces with the hyperplane normal.x = offset."""
+    h = Halfspace(normal, offset)
+    return hrep_to_vrep([*halfspaces, h, Halfspace(-h.normal, -h.offset)])
 
 
 def set_equal(a, b) -> bool:

@@ -167,9 +167,9 @@ def load_json(path: str) -> dict:
         try:
             data = json.load(fh, parse_float=_reject_float)
         except json.JSONDecodeError as exc:
-            raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
+            raise SchemaError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
-        raise SchemaError(f"{path} should contain a JSON object")
+        raise SchemaError("the top level must be a JSON object")
     return data
 
 

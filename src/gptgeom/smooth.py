@@ -25,8 +25,6 @@ from .systems import (
     unrestricted_effects,
 )
 
-_HALF = Fraction(1, 2)
-
 
 @dataclass(frozen=True)
 class Rebit:

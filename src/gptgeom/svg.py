@@ -11,7 +11,7 @@ from fractions import Fraction
 from operator import mul
 
 from .geometry import (
-    EmptyIntersectionError, Halfspace, Polytope, dual_cone, hrep_to_vrep, positive_cone,
+    EmptyIntersectionError, Halfspace, Polytope, _slice, dual_cone, positive_cone,
 )
 from .linalg import QVec, as_integers
 from .systems import GptSystem
@@ -52,14 +52,9 @@ def _fit(points, panel_origin):
 def slice_polytope(p: Polytope, value: Fraction) -> list[QVec]:
     """Vertices of the polytope cut at last coordinate = value, with the
     fixed coordinate dropped."""
-    dim = p.dim
-    axis = [0] * dim
-    axis[-1] = 1
-    constraints = list(p.facets)
-    constraints.append(Halfspace(axis, value))
-    constraints.append(Halfspace([-a for a in axis], -value))
+    axis = [0] * (p.dim - 1) + [1]
     try:
-        cut = hrep_to_vrep(constraints)
+        cut = _slice(p.facets, axis, value)
     except EmptyIntersectionError:
         return []
     return [QVec(v[:-1]) for v in cut.vertices]
@@ -120,11 +115,13 @@ def _wireframe_svg(vertices, facets, panel_origin, label):
     return "".join(parts)
 
 
-def _annotate(points, px_points, float_view):
+def _annotate(points, to_px, float_view):
+    """Each point's decimal coordinates, written at its own pixel."""
     if not float_view:
         return ""
     out = []
-    for v, (x, y) in zip(points, px_points):
+    for v in points:
+        x, y = to_px((_f(v[0]), _f(v[1])))
         txt = "(" + ", ".join(f"{_f(c):.3g}" for c in v) + ")"
         out.append(f'<text x="{x + 3:.2f}" y="{y - 3:.2f}" font-size="8" fill="#666">{txt}</text>')
     return "".join(out)
@@ -138,7 +135,8 @@ def render_system(sys: GptSystem, slice_at: Fraction = Fraction(1, 2),
     (optionally with the state dual-cone boundary rays); 3D systems draw
     the state polygon and a fixed-coordinate slice of the effect body;
     4D systems draw isometric wireframes of the state body and the sliced
-    effect body.
+    effect body.  ``float_view`` labels the drawn effect vertices, in 2D
+    and 3D.
     """
     dim = sys.dim
     if not 2 <= dim <= 4:
@@ -164,7 +162,7 @@ def render_system(sys: GptSystem, slice_at: Fraction = Fraction(1, 2),
                     f'<line x1="{x0:.2f}" y1="{y0:.2f}" x2="{x1:.2f}" y2="{y1:.2f}" '
                     f'stroke="#888" stroke-dasharray="4 3"/>'
                 )
-        parts.append(_annotate(sys.effects.polytope.vertices, eff_px, float_view))
+        parts.append(_annotate(sys.effects.polytope.vertices, to_px, float_view))
     elif dim == 3:
         st = [(_f(v[0]), _f(v[1])) for v in sys.states.polytope.vertices]
         to_px = _fit(st, (0, 0))
@@ -176,7 +174,7 @@ def render_system(sys: GptSystem, slice_at: Fraction = Fraction(1, 2),
         eff_px = _order_polygon([to_px2(p) for p in pts])
         parts.append(_polygon_svg(eff_px, "#cdd6f4", "#445",
                                   f"effects @ last={slice_at}", _PANEL + _PAD, 16))
-        parts.append(_annotate(cut, eff_px, float_view))
+        parts.append(_annotate(cut, to_px2, float_view))
     else:
         states3 = [QVec(v[:-1]) for v in sys.states.polytope.vertices]
         st_body = Polytope(states3)

@@ -3,15 +3,27 @@ import dataclasses
 
 import pytest
 
+from gptgeom import gallery
 from gptgeom.gallery import (
     NAMES,
+    GalleryEntry,
     UnknownNameError,
     check_entry,
     load,
     polytopic_entries,
     run_all,
 )
-from gptgeom.systems import GptClass
+from gptgeom.geometry import hull_reduce
+from gptgeom.linalg import qvec
+from gptgeom.systems import (
+    Classification,
+    EffectSpace,
+    GptClass,
+    GptSystem,
+    StateSpace,
+    _system,
+    unrestricted_effects,
+)
 
 
 def test_all_entries_pass():
@@ -60,6 +72,40 @@ def test_corrupted_entry_fails_alone():
     assert not ok_broken and "classified" in msg
     ok_fine, _ = check_entry(entries[1])
     assert ok_fine
+
+
+def _with_stored_witness(entry, witness):
+    """The entry over a copy of its system classified NotAlmostNu at witness."""
+    sys = entry.gpt_system()
+    copy = GptSystem(sys.states, sys.effects, sys.name)
+    object.__setattr__(copy, "_classification",
+                       Classification(GptClass.NOT_ALMOST_NU, witness=witness))
+    return dataclasses.replace(entry, system=copy)
+
+
+def test_check_entry_names_each_problem_alone(monkeypatch):
+    bit, spek = load("bit"), load("spekkens")
+    bit_s, bit_e = bit.gpt_system().states.polytope, bit.gpt_system().effects.polytope
+    # every valid state body survives the roundtrip; an unnormalized one,
+    # (0, 1) to (2, 2), does not: W(E(S)) is the segment to (1, 1).  Its E(S)
+    # lacks the unit effect, so the roundtrip's EffectSpace must not check it.
+    monkeypatch.setattr(gallery, "EffectSpace", EffectSpace._raw)
+    stretched = hull_reduce([qvec(0, 1), qvec(2, 2)])
+    full = unrestricted_effects(StateSpace._raw(stretched, qvec(0, 1)))
+    raw = _system(StateSpace._raw(stretched, qvec(0, 1)), EffectSpace._raw(full, qvec(0, 1)))
+    unit = spek.gpt_system().unit
+    cases = [
+        (dataclasses.replace(bit, expected_effect_map=bit_s),
+         "full effect body differs from expected"),
+        (dataclasses.replace(bit, expected_state_map=bit_e),
+         "recovered state body differs from expected"),
+        (GalleryEntry("stretched", raw, GptClass.UNRESTRICTED),
+         "state body does not survive the effect/state roundtrip"),
+        (_with_stored_witness(spek, None), "classification witness does not certify the gap"),
+        (_with_stored_witness(spek, unit), "classification witness does not certify the gap"),
+    ]
+    for entry, message in cases:
+        assert check_entry(entry) == (False, message)
 
 
 def test_empty_filter_gives_empty_report():

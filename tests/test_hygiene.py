@@ -1,6 +1,7 @@
 """Source hygiene of ``src/gptgeom``, read with ``ast``: no unused imports,
-no import inside a function body, and no private module-level function that
-nothing references, so deletions leave no dead helpers behind."""
+no import inside a function body, and no private module-level name (a
+function, class or assigned value) that nothing references, so deletions
+leave no dead helpers behind."""
 import ast
 from collections import Counter
 from pathlib import Path
@@ -50,10 +51,22 @@ def test_no_imports_inside_functions():
     assert nested == set()
 
 
-def test_every_private_function_is_referenced():
+def _defined_names(node) -> list[str]:
+    """The names a module-level statement binds: a def, a class, or the
+    plain names among an assignment's targets."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, (ast.AnnAssign, ast.AugAssign))
+               else [])
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def test_every_private_module_level_name_is_referenced():
     everywhere = _references(n for tree in MODULES.values() for n in ast.walk(tree))
-    dead = [f"{name}:{fn.lineno} {fn.name}"
-            for name, tree in MODULES.items() for fn in tree.body
-            if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_")
-            and everywhere[fn.name] == _references(ast.walk(fn))[fn.name]]
+    dead = [f"{name}:{node.lineno} {defined}"
+            for name, tree in MODULES.items() for node in tree.body
+            for defined in _defined_names(node)
+            if defined.startswith("_") and not defined.startswith("__")
+            and everywhere[defined] == _references(ast.walk(node))[defined]]
     assert dead == []

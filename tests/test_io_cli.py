@@ -328,6 +328,88 @@ def test_cli_plot_outside_dimensions_2_to_4_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name, flag, dim", [
+    ("squit", ["--cones"], 3),
+    ("spekkens", ["--cones"], 4),
+    ("spekkens", ["--float-view"], 4),
+    ("bit", ["--slice", "1/3"], 2),
+])
+def test_cli_plot_flag_that_draws_nothing_exits_3(tmp_path, capsys, name, flag, dim):
+    out = tmp_path / "fig.svg"
+    assert main(["plot", str(_write_system(tmp_path, name)), "--output", str(out), *flag]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag[0]} applies in dimension ")
+    assert err.endswith(f", not in dimension {dim}\n")
+    assert not out.exists()
+
+
+def test_cli_help_describes_each_verb_s_own_reading(capsys):
+    assert main(["suite", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--n N number of random systems to check (default 10)" in text
+    assert "polygon" not in text
+    assert main(["plot", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--output OUTPUT output path (default: system.svg)" in text
+    assert "stdout" not in text
+    assert main(["gallery", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--output OUTPUT export the entry's system JSON here" in text
+
+
+def test_cli_plot_writes_system_svg_by_default(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["plot", "--family", "bit"]) == 0
+    assert capsys.readouterr().out == "wrote system.svg\n"
+    assert (tmp_path / "system.svg").read_text().startswith("<svg")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["classify", "--family", "noisy-bit", "--p", "0.5"], "--p"),
+    (["plot", "--family", "squit", "--slice", "0.5"], "--slice"),
+])
+def test_cli_malformed_rational_is_named_in_its_own_words(capsys, argv, flag):
+    assert main(argv) == 3
+    assert capsys.readouterr().err == (f"error: gptgeom {argv[0]}: argument {flag}: "
+                                       f"not an exact rational literal: '0.5'\n")
+
+
+def test_cli_recover_without_a_system_names_input(tmp_path, capsys):
+    samples = tmp_path / "samples.json"
+    samples.write_text(json.dumps(_DOCS["samples"]))
+    assert main(["recover", str(samples)]) == 3
+    assert capsys.readouterr().err == "error: no input: give --input or --family\n"
+
+
+def test_cli_names_a_malformed_file_once(tmp_path, capsys):
+    bad, arr = tmp_path / "bad.json", tmp_path / "arr.json"
+    bad.write_text("{")
+    arr.write_text("[]")
+    assert main(["classify", str(bad)]) == 3
+    assert capsys.readouterr().err.startswith(f"error: {bad}: invalid JSON: Expecting ")
+    assert main(["validate", str(arr)]) == 3
+    assert capsys.readouterr().err == f"error: {arr}: the top level must be a JSON object\n"
+
+
+def test_cli_dimension_below_2_exits_3(tmp_path, capsys):
+    doc = system_to_json(load("bit").gpt_system())
+    doc["dimension"] = 1
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(doc))
+    for verb in ("validate", "classify"):
+        assert main([verb, str(path)]) == 3
+        assert capsys.readouterr().err == \
+            f"error: {path}: 'dimension' must be an integer >= 2 (ambient dimension)\n"
+
+
+def test_cli_unwritable_output_exits_3(tmp_path, capsys):
+    out = tmp_path / "missing" / "full.json"
+    assert main(["emap", "--family", "bit", "--output", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ") and "No such file" in err
+    assert not out.exists()
+
+
 def test_cli_suite(capsys):
     assert main(["suite", "--n", "4"]) == 0
     out = capsys.readouterr().out

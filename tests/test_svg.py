@@ -1,12 +1,15 @@
-"""Wireframe edges read from integer facet incidence."""
+"""Wireframe edges read from integer facet incidence, and plot labels."""
 import random
+import re
 from fractions import Fraction
 from itertools import product
+
+import pytest
 
 from gptgeom.gallery import load
 from gptgeom.geometry import Polytope
 from gptgeom.linalg import QVec, qvec, rank
-from gptgeom.svg import polytope_edges
+from gptgeom.svg import polytope_edges, render_system
 
 F = Fraction
 
@@ -64,3 +67,25 @@ def test_random_polytopes_match_rank_oracle():
         p = Polytope(_random_points(gen, gen.choice([2, 3])))
         vertices, facets = list(p.vertices), list(p.facets)
         assert polytope_edges(vertices, facets) == rank_edges(vertices, facets)
+
+
+_LABEL = re.compile(r'<text x="([-\d.]+)" y="([-\d.]+)" font-size="8" fill="#666">\(([^)]*)\)</text>')
+_EFFECTS = re.compile(r'<polygon points="([^"]*)" fill="#cdd6f4"')
+
+
+@pytest.mark.parametrize("name", ["bit", "bit-transformed", "noisy-bit", "notch-bit", "squit"])
+def test_float_view_labels_each_vertex_at_its_own_pixel(name):
+    svg = render_system(load(name).gpt_system(), float_view=True)
+    # each label is written 3 px right of and 3 px above the point it names
+    labels = [((float(x) - 3, float(y) + 3), tuple(map(float, text.split(", "))))
+              for x, y, text in _LABEL.findall(svg)]
+    corners = {tuple(map(float, p.split(","))) for p in _EFFECTS.search(svg)[1].split()}
+    assert len(labels) == len(corners) >= 3
+    assert {(round(x, 2), round(y, 2)) for (x, y), _ in labels} == corners
+    # the plot maps (u, v) to (a + s u, b - s v): solve s from the widest pair
+    (p0, v0), (p1, v1) = labels[0], max(labels, key=lambda lab: abs(lab[1][0] - labels[0][1][0]))
+    s = (p1[0] - p0[0]) / (v1[0] - v0[0])
+    assert s > 0
+    for (x, y), (u, v) in labels:
+        assert x == pytest.approx(p0[0] + s * (u - v0[0]), abs=0.5)
+        assert y == pytest.approx(p0[1] - s * (v - v0[1]), abs=0.5)

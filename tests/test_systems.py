@@ -86,6 +86,18 @@ def test_state_normalization_violated():
     assert any(v.code == "StateNormalizationViolated" for v in violations)
 
 
+def test_state_space_rejects_an_unnormalized_state():
+    with pytest.raises(GptValidationError) as err:
+        StateSpace(hull_reduce([qvec(0, 1), qvec(1, 2)]))
+    assert _codes(err) == ["StateNormalizationViolated"]
+
+
+def test_check_system_reports_a_dimension_mismatch_alone():
+    squit = load("squit").gpt_system()
+    violations = check_system(bit_states(), squit.effects.polytope)
+    assert [v.code for v in violations] == ["DimensionMismatch"]
+
+
 def test_effect_out_of_range():
     effects = hull_reduce([qvec(0, 0), qvec(0, 1), qvec(2, 0), qvec(-2, 1)])
     violations = check_system(bit_states(), effects)
