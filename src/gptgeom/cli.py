@@ -243,7 +243,8 @@ def cmd_plot(args) -> int:
     svg = render_system(system, slice_at=Fraction(1, 2) if args.slice is None else args.slice,
                         show_cones=args.cones, float_view=args.float_view)
     _write_output(args.output, svg)
-    print(f"wrote {args.output}")
+    if args.output:  # --output "" writes to stdout, as for every verb
+        print(f"wrote {args.output}")
     return 0
 
 

@@ -361,7 +361,10 @@ def test_cli_plot_writes_system_svg_by_default(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["plot", "--family", "bit"]) == 0
     assert capsys.readouterr().out == "wrote system.svg\n"
-    assert (tmp_path / "system.svg").read_text().startswith("<svg")
+    svg = (tmp_path / "system.svg").read_text()
+    assert svg.startswith("<svg")
+    assert main(["plot", "--family", "bit", "--output", ""]) == 0
+    assert capsys.readouterr().out == svg + "\n"
 
 
 @pytest.mark.parametrize("argv, flag", [
