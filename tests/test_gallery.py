@@ -90,9 +90,8 @@ def test_check_entry_names_each_problem_alone(monkeypatch):
     # (0, 1) to (2, 2), does not: W(E(S)) is the segment to (1, 1).  Its E(S)
     # lacks the unit effect, so the roundtrip's EffectSpace must not check it.
     monkeypatch.setattr(gallery, "EffectSpace", EffectSpace._raw)
-    stretched = hull_reduce([qvec(0, 1), qvec(2, 2)])
-    full = unrestricted_effects(StateSpace._raw(stretched, qvec(0, 1)))
-    raw = _system(StateSpace._raw(stretched, qvec(0, 1)), EffectSpace._raw(full, qvec(0, 1)))
+    stretched = StateSpace._raw(hull_reduce([qvec(0, 1), qvec(2, 2)]), qvec(0, 1))
+    raw = _system(stretched, EffectSpace._raw(unrestricted_effects(stretched), stretched.unit))
     unit = spek.gpt_system().unit
     cases = [
         (dataclasses.replace(bit, expected_effect_map=bit_s),
