@@ -33,7 +33,7 @@ import math
 from fractions import Fraction
 from itertools import chain
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .linalg import (
     DimensionMismatchError,
@@ -415,16 +415,15 @@ def hull_reduce(points: Sequence[Sequence]) -> Polytope:
     return _hull(sorted(set(pts)), dim)
 
 
-# maps the characters of format(mask, "b") to the top byte a field of the
-# packed products holds: a tight point (bit 1) has a zero product
-_NONZERO_BYTE = bytes.maketrans(b"01", b"\x80\x00")
+# maps the top bytes of a packed nonzero pattern to binary digits: a field
+# whose top bit is clear holds a zero product, a set bit of the mask
+_ZERO_DIGIT = bytes.maketrans(b"\x80\x00", b"01")
 
 
-def _check_incidence(rays: list[tuple[IntVec, int]], lin: list[IntVec],
-                     rows: Sequence[IntVec], names: Sequence) -> None:
-    """Raise SelfCheckError unless every ray g has g.row >= 0 on every row,
-    with equality exactly on the rows its mask names, and every lineality
-    vector l has l.row == 0 on every row.
+def _packed_incidence(rows: Sequence[IntVec], vectors: Sequence[IntVec]
+                      ) -> Iterator[tuple[bool, int]]:
+    """For each vector g, whether g.row >= 0 on every row, and the mask of
+    the rows with g.row == 0 (read only when the first holds).
 
     All V products of one vector run as ``len(row)`` big-int multiply-adds:
     column j of the rows is packed into one int of V fields of W bits,
@@ -434,17 +433,12 @@ def _check_incidence(rays: list[tuple[IntVec, int]], lin: list[IntVec],
     biased by 2^(W - 1) it lies in [1, 2^W) and no field carries into the
     next.  A clear top bit is then a negative product, and with every top
     bit set, adding 2^(W - 1) - 1 to the fields with their top bits cleared
-    sets the top bit exactly where p != 0; that pattern is compared bytewise
-    with the mask.  A lineality vector must give the packed zero.  Only on a
-    failure is the plain product loop run, to name the first misplaced
-    point (``names[i]`` for row i) as before.
+    sets the top bit exactly where p != 0; the fields' top bytes, read as
+    binary digits, give the mask.
     """
-    if not rows or not (rays or lin):
-        return
     n = len(rows)
-    vectors = [g for g, _ in rays] + lin
     bits = (max(map(int.bit_length, chain.from_iterable(rows)))
-            + max(map(int.bit_length, chain.from_iterable(vectors)))
+            + max(map(int.bit_length, chain.from_iterable(vectors)), default=0)
             + len(rows[0]).bit_length() + 2)
     size = -(-bits // 8)  # bytes per field
     half = 1 << (8 * size - 1)
@@ -453,17 +447,27 @@ def _check_incidence(rays: list[tuple[IntVec, int]], lin: list[IntVec],
     packed = [int.from_bytes(b"".join((x + half).to_bytes(size, "little") for x in col),
                              "little") - top
               for col in zip(*rows)]
-    if all(sum(map(mul, l, packed)) == 0 for l in lin):
-        for g, mask in rays:
-            biased = sum(map(mul, g, packed)) + top
-            if biased & top != top:
-                break  # a negative product
-            nonzero = ((biased ^ top) + low) & top
-            if (nonzero.to_bytes(n * size, "big")[::size]
-                    != format(mask, f"0{n}b").encode().translate(_NONZERO_BYTE)):
-                break
-        else:
-            return
+    for g in vectors:
+        biased = sum(map(mul, g, packed)) + top
+        nonzero = ((biased ^ top) + low) & top
+        yield (biased & top == top,
+               int(nonzero.to_bytes(n * size, "big")[::size].translate(_ZERO_DIGIT), 2))
+
+
+def _check_incidence(rays: list[tuple[IntVec, int]], lin: list[IntVec],
+                     rows: Sequence[IntVec], names: Sequence) -> None:
+    """Raise SelfCheckError unless every ray g has g.row >= 0 on every row,
+    with equality exactly on the rows its mask names, and every lineality
+    vector l has l.row == 0 on every row.  The products run packed
+    (:func:`_packed_incidence`); only on a failure does the plain product
+    loop run, to name the first misplaced point (``names[i]`` for row i).
+    """
+    if not rows or not (rays or lin):
+        return
+    masks = [m for _, m in rays] + [(1 << len(rows)) - 1] * len(lin)
+    found = _packed_incidence(rows, [g for g, _ in rays] + lin)
+    if all(valid and zeros == mask for (valid, zeros), mask in zip(found, masks)):
+        return
     for g, mask in rays:
         for i, row in enumerate(rows):
             v = _idot(g, row)
@@ -589,14 +593,10 @@ def slice_cone(c: Cone, normal, offset) -> Polytope:
     intersections such as cutting a state cone with the normalization
     hyperplane.
     """
-    # the whole space has the zero vector as its only normal
-    return _slice([Halfspace(n, 0) for n in c.halfspaces if not n.is_zero()], normal, offset)
-
-
-def _slice(halfspaces: Sequence[Halfspace], normal, offset) -> Polytope:
-    """The intersection of the halfspaces with the hyperplane normal.x = offset."""
     h = Halfspace(normal, offset)
-    return hrep_to_vrep([*halfspaces, h, Halfspace(-h.normal, -h.offset)])
+    # the whole space has the zero vector as its only normal
+    return hrep_to_vrep([Halfspace(n, 0) for n in c.halfspaces if not n.is_zero()]
+                        + [h, Halfspace(-h.normal, -h.offset)])
 
 
 def set_equal(a, b) -> bool:

@@ -227,16 +227,18 @@ def polygon_vertex_error(n: int) -> Fraction:
 
 def disc_polygon_states(n: int) -> Polytope:
     """Inscribed n-gon of the disc state space, vertices exactly on the
-    circle; doubling n refines the polygon without moving old vertices."""
+    circle; doubling n refines the polygon without moving old vertices.
+    Distinct points of a circle are in convex position, so all are vertices:
+    no hull pass, and the facets are derived only when read.  Both premises
+    are checked exactly."""
     if n < 3:
         raise ValueError("a polygon needs at least 3 vertices")
-    pts = []
-    for k in range(n):
-        x, y = circle_point(k, n)
-        pts.append(qvec(x, y, 1))
-    if len(set(pts)) != n:
+    pts = sorted({qvec(*circle_point(k, n), 1) for k in range(n)})
+    if len(pts) != n:
         raise SelfCheckError(f"canonical circle points of the {n}-gon coincide")
-    return hull_reduce(pts)
+    if any(x * x + y * y != 1 for x, y, _ in pts):
+        raise SelfCheckError(f"a canonical point of the {n}-gon is off the circle")
+    return Polytope._raw(tuple(pts))
 
 
 @dataclass(frozen=True)

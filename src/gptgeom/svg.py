@@ -11,7 +11,7 @@ from fractions import Fraction
 from operator import mul
 
 from .geometry import (
-    EmptyIntersectionError, Halfspace, Polytope, _slice, dual_cone, positive_cone,
+    EmptyIntersectionError, Halfspace, Polytope, dual_cone, hrep_to_vrep, positive_cone,
 )
 from .linalg import QVec, as_integers
 from .systems import GptSystem
@@ -49,15 +49,17 @@ def _fit(points, panel_origin):
     return to_px
 
 
-def slice_polytope(p: Polytope, value: Fraction) -> list[QVec]:
-    """Vertices of the polytope cut at last coordinate = value, with the
-    fixed coordinate dropped."""
-    axis = [0] * (p.dim - 1) + [1]
+def slice_polytope(p: Polytope, value: Fraction) -> Polytope | None:
+    """The polytope cut at last coordinate = value, with the fixed coordinate
+    dropped, or None when the cut is empty.  Each facet a.x >= c becomes
+    a'.y >= c - a_last value, so the cut keeps the facets hrep_to_vrep picks."""
+    cons = [(QVec(h.normal[:-1]), h.offset - h.normal[-1] * value) for h in p.facets]
+    if any(head.is_zero() and c > 0 for head, c in cons):
+        return None
     try:
-        cut = _slice(p.facets, axis, value)
+        return hrep_to_vrep([Halfspace(head, c) for head, c in cons if not head.is_zero()])
     except EmptyIntersectionError:
-        return []
-    return [QVec(v[:-1]) for v in cut.vertices]
+        return None
 
 
 def polytope_edges(vertices: list[QVec], facets: list[Halfspace]) -> list[tuple[int, int]]:
@@ -169,6 +171,7 @@ def render_system(sys: GptSystem, slice_at: Fraction = Fraction(1, 2),
         st_px = _order_polygon([to_px(p) for p in st])
         parts.append(_polygon_svg(st_px, "#f4d6cd", "#a33", "states (unit plane)", _PAD, 16))
         cut = slice_polytope(sys.effects.polytope, slice_at)
+        cut = cut.vertices if cut else []
         pts = [(_f(v[0]), _f(v[1])) for v in cut]
         to_px2 = _fit(pts, (_PANEL, 0))
         eff_px = _order_polygon([to_px2(p) for p in pts])
@@ -181,10 +184,9 @@ def render_system(sys: GptSystem, slice_at: Fraction = Fraction(1, 2),
         parts.append(_wireframe_svg(st_body.vertices, st_body.facets, (0, 0),
                                     "states (unit slice)"))
         cut = slice_polytope(sys.effects.polytope, slice_at)
-        if cut:
-            body = Polytope(cut)
-            parts.append(_wireframe_svg(body.vertices, body.facets, (_PANEL, 0),
-                                        f"effects @ last={slice_at}"))
+        label = f"effects @ last={slice_at}"
+        parts.append(_wireframe_svg(cut.vertices, cut.facets, (_PANEL, 0), label) if cut else
+                     f'<text x="{_PANEL + _PAD}" y="18" font-size="12">{label} (empty)</text>')
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{_PANEL}" '
         f'viewBox="0 0 {width} {_PANEL}">'

@@ -7,7 +7,8 @@ import enum
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
+from functools import reduce
+from operator import and_, mul, or_
 from typing import Optional, Sequence
 
 from .geometry import (
@@ -16,6 +17,12 @@ from .geometry import (
     Polytope,
     SelfCheckError,
     UnboundedError,
+    _bits,
+    _check_incidence,
+    _idot,
+    _iprim,
+    _irredundant,
+    _packed_incidence,
     hrep_to_vrep,
     hull_reduce,
     set_equal,
@@ -305,9 +312,57 @@ def unrestricted_effects(states: StateSpace) -> Polytope:
 
 def noisy_effects(full: Polytope, unit: QVec, p: Fraction) -> Polytope:
     """The noisy restriction of the effect body ``full``, which keeps its cone:
-    the hull of 0, u, and p.e and u - p.e for every other vertex e."""
-    scaled = [e * p for e in full.vertices if not e.is_zero() and e != unit]
-    return hull_reduce([zero_vector(len(unit)), unit] + scaled + [unit - e for e in scaled])
+    the hull of 0, u, and p.e and u - p.e for every other vertex e.
+
+    No DD pass.  As ``full`` holds 0 and is complement-closed, u - p.e =
+    t + p(u - e) with t = (1 - p)u, so the hull is pE + [0, t].  The normal
+    fan of that sum refines E's fan by the hyperplane t^perp alone, so each
+    facet is a facet a.x >= c of E, moved to a.x >= p c + min(0, a.t), or
+    the ray where t^perp crosses the normal cone of a ridge of E with
+    a1.t > 0 > a2.t: (-a2.t) a1 + (a1.t) a2 at p((-a2.t) c1 + (a1.t) c2).
+    Larger cones meet t^perp in no ray, so the list is complete.  Two facets
+    meet in a ridge when they share dim - 1 or more vertices that no third
+    facet passes through.  The vertices are the candidates
+    :func:`_irredundant` keeps; :func:`_check_incidence` proves every
+    candidate against every facet.  Raises ValueError unless ``full`` holds
+    0 and u, is complement-closed and spans, which the identity needs.
+    """
+    violations = _effect_axioms(full, unit)
+    if violations:
+        raise ValueError("noisy_effects needs a complement-closed, full-dimensional "
+                         "effect body: " + "; ".join(v.detail for v in violations))
+    dim, n, pn, pd = len(unit), len(full.vertices), p.numerator, p.denominator
+    iu, su = as_integers(unit)
+    rows = [h.inormal + (-h.ioffset,) for h in full.facets]
+    vrows = [integerize(tuple(v) + (Fraction(1),)) for v in full.vertices]
+    masks = [m for _, m in _packed_incidence(vrows, rows)]  # vertices on each facet
+    through = [m for _, m in _packed_incidence(rows, vrows)]  # facets through each vertex
+    at = [(pd - pn) * _idot(r[:-1], iu) for r in rows]  # pd su (a.t), all 0 when p = 1
+    # (row scaled by pd su, vertices v of E whose copies p.v, p.v + t it is tight at)
+    new = [(_iprim(tuple(pd * su * x for x in r[:-1]) + (pn * su * r[-1] - min(0, k),)),
+            m if k >= 0 else 0, m if k <= 0 else 0) for r, k, m in zip(rows, at, masks)]
+    down = sum(1 << f for f, k in enumerate(at) if k < 0)
+    for f1 in (f for f, k in enumerate(at) if k > 0):
+        for f2 in _bits(reduce(or_, map(through.__getitem__, _bits(masks[f1])), 0) & down):
+            common = masks[f1] & masks[f2]
+            if (common.bit_count() >= dim - 1 and reduce(
+                    and_, map(through.__getitem__, _bits(common))) == 1 << f1 | 1 << f2):
+                r = [-at[f2] * x + at[f1] * y for x, y in zip(rows[f1], rows[f2])]
+                new.append((_iprim(tuple(pd * x for x in r[:-1]) + (pn * r[-1],)),
+                            common, common))
+    # the candidates: copy c < n is p.v (v != u), copy n + c is p.v + t (v != 0)
+    t = unit * (1 - p)
+    copies = sorted([(v * p, c) for c, v in enumerate(full.vertices) if v != unit]
+                    + [(v * p + t, n + c) for c, v in enumerate(full.vertices) if not v.is_zero()])
+    pts, bit = [], [0] * (2 * n)  # bit[c]: copy c's bit over the distinct candidates
+    for x, c in copies:
+        if not pts or pts[-1] != x:
+            pts.append(x)
+        bit[c] = 1 << (len(pts) - 1)
+    rays = [(g, reduce(or_, map(bit.__getitem__, _bits(lo | hi << n)), 0)) for g, lo, hi in new]
+    _check_incidence(rays, [], [integerize(tuple(x) + (Fraction(1),)) for x in pts], pts)
+    return Polytope._raw(tuple(pts[i] for i in _irredundant((m for _, m in rays), len(pts))),
+                         tuple(Halfspace._from_ints(g[:-1], -g[-1]) for g, _ in rays))
 
 
 def _cone_normals(effects: EffectSpace) -> list[tuple[int, ...]]:

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import settings
 
+from gptgeom import geometry
 from gptgeom.gallery import polytopic_entries
 from gptgeom.randomgen import random_system
 
@@ -39,3 +40,18 @@ def random_systems():
 @pytest.fixture(scope="session")
 def fifty_seven(gallery_systems, random_systems):
     return [s for _, s in gallery_systems] + random_systems
+
+
+@pytest.fixture
+def dd_calls(monkeypatch):
+    """Count the passes that go through ``geometry._dd``: one entry, the
+    row count, per pass."""
+    calls = []
+    real = geometry._dd
+
+    def counted(normals, dim):
+        calls.append(len(normals))
+        return real(normals, dim)
+
+    monkeypatch.setattr(geometry, "_dd", counted)
+    return calls

@@ -43,20 +43,6 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 DRAWN = settings(max_examples=60)
 
 
-@pytest.fixture
-def dd_calls(monkeypatch):
-    """Count the passes that go through ``geometry._dd``."""
-    calls = []
-    real = geometry._dd
-
-    def counted(normals, dim):
-        calls.append(len(normals))
-        return real(normals, dim)
-
-    monkeypatch.setattr(geometry, "_dd", counted)
-    return calls
-
-
 # -- kernel contract ---------------------------------------------------------------
 
 
@@ -379,7 +365,8 @@ def test_explicit_self_checks_raise(monkeypatch):
 def test_hull_self_check_survives_optimized_mode():
     script = (
         "import sys\n"
-        "from gptgeom import geometry\n"
+        "from fractions import Fraction as F\n"
+        "from gptgeom import geometry, smooth, systems\n"
         "from gptgeom.linalg import qvec\n"
         "if __debug__:\n"
         "    sys.exit(3)\n"
@@ -388,12 +375,31 @@ def test_hull_self_check_survives_optimized_mode():
         "    rays, lin = real(normals, dim)\n"
         "    g, mask = rays[0]\n"
         "    return [(tuple(-x for x in g), mask)] + rays[1:], lin\n"
+        "def fails(call, error=geometry.SelfCheckError):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except error:\n"
+        "        return True\n"
+        "    return False\n"
         "geometry._dd = wrong\n"
-        "try:\n"
-        "    geometry.hull_reduce([qvec(0, 0), qvec(1, 0), qvec(0, 1), qvec(1, 1)])\n"
-        "except geometry.SelfCheckError:\n"
-        "    sys.exit(0)\n"
-        "sys.exit(4)\n"
+        "square = [qvec(0, 0), qvec(1, 0), qvec(0, 1), qvec(1, 1)]\n"
+        "if not fails(lambda: geometry.hull_reduce(square)):\n"
+        "    sys.exit(4)\n"
+        "geometry._dd = real\n"
+        "# the bit's E(S) with its facet through 0 and v tilted away from v\n"
+        "u, v = qvec(0, 1), qvec(F(1, 2), F(1, 2))\n"
+        "full = geometry.hull_reduce([qvec(0, 0), u, v, u - v])\n"
+        "tilted = tuple(geometry.Halfspace(h.normal - v * F(1, 100), 0)\n"
+        "               if h.offset == 0 and h.evaluate(v) == 0 else h for h in full.facets)\n"
+        "noisy = systems.noisy_effects\n"
+        "if not fails(lambda: noisy(geometry.Polytope._raw(full.vertices, tilted), u, F(1, 2))):\n"
+        "    sys.exit(5)\n"
+        "if not fails(lambda: noisy(geometry.hull_reduce([qvec(0, 0), u, v]), u, F(1, 2)),\n"
+        "             ValueError):\n"
+        "    sys.exit(6)\n"
+        "smooth.circle_point = lambda j, m: (F(1, 2 + j), F(0))\n"
+        "if not fails(lambda: smooth.disc_polygon_states(5)):\n"
+        "    sys.exit(7)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))

@@ -1,4 +1,5 @@
-"""Wireframe edges read from integer facet incidence, and plot labels."""
+"""Wireframe edges read from integer facet incidence, slices that keep
+their facets, and plot labels."""
 import random
 import re
 from fractions import Fraction
@@ -6,10 +7,12 @@ from itertools import product
 
 import pytest
 
+from gptgeom import svg as svg_module
+from gptgeom.cli import main
 from gptgeom.gallery import load
-from gptgeom.geometry import Polytope
+from gptgeom.geometry import EmptyIntersectionError, Halfspace, Polytope, hrep_to_vrep
 from gptgeom.linalg import QVec, qvec, rank
-from gptgeom.svg import polytope_edges, render_system
+from gptgeom.svg import polytope_edges, render_system, slice_polytope
 
 F = Fraction
 
@@ -89,3 +92,43 @@ def test_float_view_labels_each_vertex_at_its_own_pixel(name):
     for (x, y), (u, v) in labels:
         assert x == pytest.approx(p0[0] + s * (u - v0[0]), abs=0.5)
         assert y == pytest.approx(p0[1] - s * (v - v0[1]), abs=0.5)
+
+
+def _slice_by_hull(p, value):
+    """The oracle cut: the body's facets with x_last = value as two
+    halfspaces in the full dimension, then the hull of the cut's vertices
+    with the fixed coordinate dropped (a second pass for the facets)."""
+    axis = Halfspace(QVec([0] * (p.dim - 1) + [1]), value)
+    try:
+        cut = hrep_to_vrep([*p.facets, axis, Halfspace(-axis.normal, -axis.offset)])
+    except EmptyIntersectionError:
+        return None
+    return Polytope([QVec(v[:-1]) for v in cut.vertices])
+
+
+@pytest.mark.parametrize("name", ["squit", "spekkens"])
+def test_slice_keeps_the_cut_facets(name):
+    body = load(name).gpt_system().effects.polytope
+    for value in (F(-1), F(0), F(1, 4), F(1, 2), F(1), F(5)):
+        cut, oracle = slice_polytope(body, value), _slice_by_hull(body, value)
+        assert (cut is None) == (oracle is None)
+        if cut is not None:
+            assert cut.vertices == oracle.vertices
+            assert set(cut.facets) == set(oracle.facets)
+
+
+def test_4d_plot_reads_the_cut_facets_it_has(dd_calls, monkeypatch):
+    spekkens = load("spekkens").gpt_system()
+    spekkens.effects.polytope.facets
+    del dd_calls[:]
+    svg = render_system(spekkens)
+    assert len(dd_calls) == 2  # the state body's hull, then the cut
+    monkeypatch.setattr(svg_module, "slice_polytope", _slice_by_hull)
+    assert render_system(spekkens) == svg
+
+
+def test_empty_4d_effect_slice_is_labelled(tmp_path):
+    out = tmp_path / "spek.svg"
+    assert main(["plot", "--family", "spekkens", "--slice", "5", "--output", str(out)]) == 0
+    svg = out.read_text()
+    assert "effects @ last=5 (empty)</text>" in svg and "states (unit slice)" in svg
