@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gptgeom import smooth
@@ -38,6 +38,7 @@ efficiencies = st.tuples(st.integers(1, 12), st.integers(1, 12)).map(
 
 @settings(max_examples=80)
 @given(st.integers(0, 2 ** 32), st.integers(2, 5), efficiencies)
+@example(seed=5, dim=4, p=F(1))
 def test_noisy_body_matches_the_cold_hull(seed, dim, p):
     states = random_state_space(random.Random(seed), dim)
     assert_same_body(unrestricted_effects(states), states.unit, p)
