@@ -173,11 +173,21 @@ def _complement_key(iu: list[int], t: int, x: list[int], s: int) -> tuple[tuple[
     return tuple(c // g for c in num), den // g
 
 
+# Below 16 rows (states, normals of cone(E)) a loop beats a packed pass; they tie near 8
+_PACKED_ROWS = 16
+
+
 def _range_axiom(states: Polytope, effects: Polytope) -> list[Violation]:
-    # 0 <= e.w <= 1 on every extremal pair, decided on integers: e = ie / se, w = iw / sw
+    # 0 <= e.w <= 1 on every pair, on integers (e = ie / se, w = iw / sw): with many
+    # states one packed pass of the rows (ie, 0), (-ie, se) against each (iw, sw);
+    # with few, or on a failure, the loop, which names the pair
     scaled_states = [as_integers(w) for w in states.vertices]
-    for e in effects.vertices:
-        ie, se = as_integers(e)
+    scaled_effects = [as_integers(e) for e in effects.vertices]
+    if len(scaled_states) >= _PACKED_ROWS and all(ok for ok, _ in _packed_incidence(
+            [r for ie, se in scaled_effects for r in (ie + [0], [-x for x in ie] + [se])],
+            [tuple(iw) + (sw,) for iw, sw in scaled_states])):
+        return []
+    for e, (ie, se) in zip(effects.vertices, scaled_effects):
         for w, (iw, sw) in zip(states.vertices, scaled_states):
             p = sum(map(mul, ie, iw))
             if p < 0 or p > se * sw:
@@ -294,20 +304,73 @@ def effect_constraints(states: StateSpace) -> list[Halfspace]:
 
 def unrestricted_effects(states: StateSpace) -> Polytope:
     """The largest effect space compatible with S (dual cone intersected
-    with its unit-shifted reflection), as an exact polytope.
+    with its unit-shifted reflection), as an exact polytope whose kept
+    facets are :func:`effect_constraints` as given; derived once per state
+    space and kept on it, so later calls return the same object.
 
-    Derived once per state space and kept on it; later calls return the
-    same object.
+    With m = u/2, E(S) - m = Q°/2 for Q = conv(S u -S), whose vertices are
+    +-w for the vertices w of S: every row is a facet, and the vertices of
+    E(S) other than 0 and u are the facets of Q joining S to -S (the Cayley
+    trick: Huber, Rambau & Santos, JEMS 2000).  For a polygon S (dimension
+    3) :func:`_polygon_effects` reads them off with no DD pass: a vertex e
+    needs three independent tight rows, and its zero set and one set
+    {w : e.w = 0 or 1} are faces of S.  The zero set S gives 0, the one set
+    S gives u; otherwise one set is an edge [a, b], fixing e = (a x b) /
+    max_S (a x b).w or u - e.  Other dimensions make one hrep_to_vrep pass.
     """
     if states._effect_body is None:
+        hs = effect_constraints(states)
         try:
-            states._effect_body = hrep_to_vrep(effect_constraints(states))
+            states._effect_body = (_polygon_effects(states, hs) if states.dim == 3
+                                   else hrep_to_vrep(hs))
         except UnboundedError:
             raise UnboundedError(
                 "unrestricted effect body is unbounded: states do not affinely "
                 "span the unit hyperplane (fiducial set is not minimal)"
             )
     return states._effect_body
+
+
+def _polygon_effects(states: StateSpace, hs: list[Halfspace]) -> Polytope:
+    """E(S) of a polygon S in R^3 on integers (see :func:`unrestricted_effects`).
+    A monotone chain orders the sorted vertices: the first, those on one side
+    of the line first-last, the last, the others in reverse.  Rotating calipers
+    find each edge's maximizers w, comparing c.w = c.x su / (iu.x) by cross-
+    multiplying (x = w's primitive form, u = iu / su).  Each vertex's mask over
+    ``hs`` (row 2k: e.w_k >= 0, 2k + 1: e.w_k <= 1) is proved against every row."""
+    def cross(a, b):
+        return a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]
+
+    pts = [integerize(w) for w in states.polytope.vertices]
+    n = len(pts)
+    side = [_idot(cross(pts[0], pts[-1]), x) for x in pts[1:-1]]
+    if n < 3 or not all(side):
+        raise UnboundedError("the states are collinear")
+    order = ([0] + [k + 1 for k, d in enumerate(side) if d > 0] + [n - 1]
+             + [k + 1 for k, d in reversed(list(enumerate(side))) if d < 0])
+    w = [pts[k] for k in order]
+    iu, su = as_integers(states.unit)
+    lift = [_idot(iu, x) for x in w]  # positive, as u.w = 1
+    zeros = sum(1 << 2 * k for k in range(n))
+    rays = {(0, 0, 0, 1): zeros, tuple(iu) + (su,): zeros << 1}  # 0 and u
+    j = 0
+    for i in range(n):
+        c = cross(w[(i + 1) % n], w[i])  # >= 0 on S: the chain turns as det(first, w, last) < 0
+        j = max(j, i + 1)
+        v, vn = _idot(c, w[j % n]), _idot(c, w[(j + 1) % n])
+        while vn * lift[j % n] > v * lift[(j + 1) % n]:
+            j += 1
+            v, vn = vn, _idot(c, w[(j + 1) % n])
+        maxima = [j] + [j + 1] * (vn * lift[j % n] == v * lift[(j + 1) % n])
+        low = 1 << 2 * order[i] | 1 << 2 * order[(i + 1) % n]  # e.a = e.b = 0
+        high = sum(2 << 2 * order[k % n] for k in maxima)  # e.w = 1
+        lj = lift[j % n]
+        rays.setdefault(_iprim(tuple(x * lj for x in c) + (su * v,)), low | high)
+        rays.setdefault(_iprim(tuple(y * v - x * lj for x, y in zip(c, iu)) + (su * v,)),
+                        low << 1 | high >> 1)  # u - e
+    _check_incidence(list(rays.items()), [], [h.inormal + (-h.ioffset,) for h in hs], hs)
+    return Polytope._raw(tuple(sorted(QVec(Fraction(x, g[-1]) for x in g[:-1]) for g in rays)),
+                         tuple(hs))
 
 
 def noisy_effects(full: Polytope, unit: QVec, p: Fraction) -> Polytope:
@@ -336,7 +399,10 @@ def noisy_effects(full: Polytope, unit: QVec, p: Fraction) -> Polytope:
     rows = [h.inormal + (-h.ioffset,) for h in full.facets]
     vrows = [integerize(tuple(v) + (Fraction(1),)) for v in full.vertices]
     masks = [m for _, m in _packed_incidence(vrows, rows)]  # vertices on each facet
-    through = [m for _, m in _packed_incidence(rows, vrows)]  # facets through each vertex
+    through = [0] * n  # facets through each vertex, the transpose of masks
+    for f, m in enumerate(masks):
+        for v in _bits(m):
+            through[v] |= 1 << f
     at = [(pd - pn) * _idot(r[:-1], iu) for r in rows]  # pd su (a.t), all 0 when p = 1
     # (row scaled by pd su, vertices v of E whose copies p.v, p.v + t it is tight at)
     new = [(_iprim(tuple(pd * su * x for x in r[:-1]) + (pn * su * r[-1] - min(0, k),)),
@@ -427,10 +493,10 @@ def classify(sys: GptSystem) -> Classification:
     relaxation coincides with the noisy class and the AlmostNuOnly tag
     cannot occur here (it is reserved for the smooth families).
 
-    At most one DD pass: for the vertices of E(S), unless the state space
-    already holds them.  Since E lies in E(S), the cones are equal iff every
-    vertex of E(S) lies in cone(E), which E's facets through 0 describe
-    exactly; the first vertex outside is the witness.
+    At most one DD pass: for the vertices of E(S), unless S holds them or is
+    a polygon.  Since E lies in E(S), the cones are equal iff every vertex of
+    E(S) lies in cone(E), which E's facets through 0 describe exactly; the
+    first vertex outside is the witness (one packed pass with many facets).
 
     The result is stored on the system, so a second call, or
     :func:`admits_gtt` afterwards, makes no pass and returns the same object.
@@ -445,7 +511,11 @@ def _classify(sys: GptSystem) -> Classification:
     if set_equal(sys.effects.polytope, es):
         return Classification(GptClass.UNRESTRICTED)
     normals = _cone_normals(sys.effects)
-    witness = next((v for v in es.vertices if not _in_cone(v, normals)), None)
+    if len(normals) < _PACKED_ROWS:
+        witness = next((v for v in es.vertices if not _in_cone(v, normals)), None)
+    else:
+        found = _packed_incidence(normals, [integerize(v) for v in es.vertices])
+        witness = next((v for v, (inside, _) in zip(es.vertices, found) if not inside), None)
     if witness is None:
         return Classification(GptClass.NOISY_UNRESTRICTED)
     return Classification(GptClass.NOT_ALMOST_NU, witness=witness)

@@ -3,10 +3,12 @@ the memoized E(S) and classification, self-checks that survive
 ``python -O``, and drawn inputs against the ``lp.py`` oracle and the
 Fraction halfspace route."""
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from gptgeom import geometry, smooth, systems
 from gptgeom.gallery import load
 from gptgeom.geometry import (
     Halfspace,
+    Polytope,
     SelfCheckError,
     UnboundedError,
     hrep_to_vrep,
@@ -26,7 +29,8 @@ from gptgeom.geometry import (
 )
 from gptgeom.linalg import QVec, integerize, qvec
 from gptgeom.lp import hull_vertices_lp, in_cone, in_convex_hull
-from gptgeom.smooth import AnuBit, Rebit, discretize
+from gptgeom.randomgen import random_state_space, random_system
+from gptgeom.smooth import AnuBit, NoisyRebit, Rebit, discretize
 from gptgeom.systems import (
     GptClass,
     StateSpace,
@@ -78,7 +82,8 @@ def test_classify_makes_one_pass_then_none(dd_calls, gallery_systems):
         fresh = _fresh(sys)
         del dd_calls[:]
         classify(fresh)
-        assert len(dd_calls) == 1, name  # E(S)
+        # E(S), in closed form when S is a polygon
+        assert len(dd_calls) == (0 if sys.dim == 3 else 1), name
         fresh = _fresh(sys)
         unrestricted_effects(fresh.states)
         del dd_calls[:]
@@ -160,7 +165,7 @@ def test_classified_system_compares_and_prints_the_same():
 
 
 def test_effect_body_is_stored_per_state_space(dd_calls):
-    sys = load("squit").gpt_system()
+    sys = load("spekkens").gpt_system()  # dimension 4: E(S) is a DD pass
     states = StateSpace(sys.states.polytope)
     del dd_calls[:]
     body = unrestricted_effects(states)
@@ -397,6 +402,14 @@ def test_hull_self_check_survives_optimized_mode():
         "if not fails(lambda: noisy(geometry.hull_reduce([qvec(0, 0), u, v]), u, F(1, 2)),\n"
         "             ValueError):\n"
         "    sys.exit(6)\n"
+        "# the polygon's closed-form E(S) with one mask bit flipped\n"
+        "check = systems._check_incidence\n"
+        "systems._check_incidence = lambda rays, lin, rows, names: check(\n"
+        "    [(rays[0][0], rays[0][1] ^ 1)] + rays[1:], lin, rows, names)\n"
+        "pentagon = systems.StateSpace(smooth.disc_polygon_states(5))\n"
+        "if not fails(lambda: systems.unrestricted_effects(pentagon)):\n"
+        "    sys.exit(8)\n"
+        "systems._check_incidence = check\n"
         "smooth.circle_point = lambda j, m: (F(1, 2 + j), F(0))\n"
         "if not fails(lambda: smooth.disc_polygon_states(5)):\n"
         "    sys.exit(7)\n"
@@ -595,6 +608,74 @@ def test_two_pass_classify_matches_cone_route(fifty_seven):
         else:
             assert c.witness is None
     assert GptClass.NOT_ALMOST_NU in tags and len(tags) >= 2
+
+
+def _classify_by_loop(sys):
+    """The tag, and the first vertex of E(S) in vertex order that has a
+    negative product with a normal of cone(E), one vertex at a time."""
+    es = unrestricted_effects(sys.states)
+    if set_equal(sys.effects.polytope, es):
+        return GptClass.UNRESTRICTED, None
+    normals = [h.inormal for h in sys.effects.polytope.facets if h.ioffset == 0]
+    for v in es.vertices:
+        if any(geometry._idot(a, integerize(v)) < 0 for a in normals):
+            return GptClass.NOT_ALMOST_NU, v
+    return GptClass.NOISY_UNRESTRICTED, None
+
+
+# a row threshold that makes every input take the packed pass, and one that makes none
+BOTH_PATHS = (0, 10 ** 9)
+
+
+def _assert_classify_matches_the_loop(sys):
+    expected = _classify_by_loop(sys)
+    for rows in BOTH_PATHS:
+        with mock.patch.object(systems, "_PACKED_ROWS", rows):
+            c = systems._classify(sys)
+        assert (c.tag, c.witness) == expected
+
+
+@settings(max_examples=80)
+@given(st.integers(0, 2 ** 32), st.integers(2, 4))
+def test_packed_classify_matches_the_vertex_loop(seed, dim):
+    _assert_classify_matches_the_loop(random_system(random.Random(seed), dim))
+
+
+def test_packed_classify_matches_the_vertex_loop_on_fixed_systems(fifty_seven):
+    families = (Rebit(), NoisyRebit(F(1, 2)), AnuBit())
+    for sys in fifty_seven + [discretize(f, n).system for f in families for n in (16, 17)]:
+        _assert_classify_matches_the_loop(sys)
+
+
+def _range_by_loop(states, effects):
+    """The first (effect, state) pair, in vertex order, off [0, 1]."""
+    for e in effects.vertices:
+        for w in states.vertices:
+            if not 0 <= e.dot(w) <= 1:
+                return [systems.Violation(
+                    "EffectOutOfRange", f"effect {e} gives probability {e.dot(w)} on state {w}")]
+    return []
+
+
+scales = st.sampled_from([F(1), F(1, 2), F(3, 4), F(5, 4), F(2), F(-1, 3)])
+
+
+@settings(max_examples=120)
+@given(st.integers(0, 2 ** 32), st.integers(2, 4), scales, scales, scales, st.integers(0, 99))
+def test_packed_range_axiom_matches_the_pair_loop(seed, dim, state_scale, effect_scale,
+                                                  vertex_scale, k):
+    # scaled states break u.w = 1 too, as check_system sees them; one more
+    # scaled effect vertex leaves some states in range and takes others out
+    states = random_state_space(random.Random(seed), dim)
+    full = unrestricted_effects(states)
+    scaled = Polytope._raw(tuple(w * state_scale for w in states.polytope.vertices))
+    vertices = [e * effect_scale for e in full.vertices]
+    vertices[k % len(vertices)] *= vertex_scale
+    effects = Polytope._raw(tuple(vertices))
+    expected = _range_by_loop(scaled, effects)
+    for rows in BOTH_PATHS:
+        with mock.patch.object(systems, "_PACKED_ROWS", rows):
+            assert systems._range_axiom(scaled, effects) == expected
 
 
 def test_primitive_integer_halfspace():

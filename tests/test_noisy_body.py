@@ -97,9 +97,9 @@ def test_discretize_makes_one_pass(dd_calls, family):
     for n in (3, 16, 64):
         del dd_calls[:]
         system = discretize(family, n).system
-        assert dd_calls == [2 * n + 1]  # E(S): 0 <= w.e <= 1 per state, and s >= 0
+        assert dd_calls == []  # E(S) of a polygon is in closed form
         assert system.states.contains(system.unit)
-        assert dd_calls == [2 * n + 1, n]  # the polygon's facets, derived when read
+        assert dd_calls == [n]  # the polygon's facets, derived when read
 
 
 def test_polygon_points_must_lie_on_the_circle(monkeypatch):

@@ -17,5 +17,5 @@ def test_scale_prints_times_and_passes_per_step():
     assert [row[0] for row in rows] == ["8", "9"]
     for row in rows:
         assert all(float(x) >= 0 for x in row[1::2])
-        # one pass for E(S), none to classify, one for W(E) in admits_gtt
-        assert row[2::2] == ["1", "0", "1"]
+        # E(S) in closed form, none to classify, one for W(E) in admits_gtt
+        assert row[2::2] == ["0", "0", "1"]
