@@ -16,16 +16,16 @@ every cone's generators from one pass over its normals.
 Before the adjacency scan, a pair of rays is dropped when its common tight
 set has fewer than ``dim - len(lin) - 2`` members (one popcount), a
 necessary condition for adjacency.  Membership tests run on primitive
-integer facets.  The method is still exponential in the worst case: the
-restricted random systems of ambient dimension 6 take seconds, and
-dimension 7 is the current frontier.
+integer facets.  The method is still exponential in the worst case: a
+restricted random system of ambient dimension 7 takes seconds to
+generate, and dimension 8 is the current frontier.
 
-Every hull proves its DD output right on its input points: each point
-on the valid side of each facet, each mask exactly the facet's tight
-points, each equation zero.  The products of one facet with all points
-come from ``dim + 1`` multiplications of packed integers whose fields
-have room for the largest product the entry sizes allow, so none carries
-into the next (:func:`_check_incidence`).
+Every DD result is proved right on the rows it came from before it is
+read: each ray on the valid side of each row, each mask exactly the
+ray's tight rows, each lineality vector zero on every row.  The products
+of one ray with all rows come from ``len(row)`` multiplications of packed
+integers whose fields have room for the largest product the entry sizes
+allow, so none carries into the next (:func:`_check_incidence`).
 """
 from __future__ import annotations
 
@@ -106,11 +106,12 @@ def _dd(normals: Sequence[IntVec], dim: int
     on it (Fukuda & Prodon 1996; Avis, Bremner & Seidel 1997).
     :func:`hrep_to_vrep` passes its distinct rows sorted lexicographically
     (cdd's "lexmin"): for E(S) of the 512-gon that cuts the pass from about
-    8 s to about 1 s.  :func:`_hull` keeps the sorted point order
-    :func:`hull_reduce` gives it, which measured faster than a shuffle or
-    an extreme-points-first order.  These two and :func:`_cone_from_normals`
-    are its only callers, and the two that read masks pick vertices or
-    facets from them only through :func:`_irredundant`.
+    8 s to about 1 s, and no other order tried on its passes saved more
+    than about 12 % of the adjacent pairs.  :func:`_hull` passes its points
+    largest common denominator first (see there).  These two and
+    :func:`_cone_from_normals` are its only callers; each proves the result
+    with :func:`_check_incidence`, and the two that read masks pick
+    vertices or facets from them only through :func:`_irredundant`.
     """
     lin: list[IntVec] = [
         tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)
@@ -391,7 +392,9 @@ def _cone_from_normals(normals: Sequence[QVec], dim: int) -> Cone:
     """The cone {x : n.x >= 0 for all n}, keeping the normals as its
     halfspaces.  Its sorted generators are the DD rays and the lineality
     basis as antipodal pairs, or the origin alone when both are empty."""
-    rays, lin = _dd(_to_int(normals), dim)
+    rows = _to_int(normals)
+    rays, lin = _dd(rows, dim)
+    _check_incidence(rays, lin, rows, normals)
     gens = [r for r, _ in rays]
     for l in lin:
         gens += [l, tuple(-x for x in l)]
@@ -415,6 +418,38 @@ def hull_reduce(points: Sequence[Sequence]) -> Polytope:
     return _hull(sorted(set(pts)), dim)
 
 
+def _packed_products(rows: Sequence[IntVec], vectors: Sequence[IntVec]
+                     ) -> tuple[int, int, Iterator[int]]:
+    """The products g.row of each vector g with all V rows, packed: the
+    field width in bytes, the top-bit pattern ``top`` and, for each vector,
+    one int whose field i holds g.row_i biased by 2^(W - 1).
+
+    All V products of one vector run as ``len(row)`` big-int multiply-adds:
+    column j of the rows is packed into one int of V fields of W bits,
+    row i in field i.  With R, G the largest entries of the rows and of the
+    vectors and D the row length, every product has |p| <= D R G <
+    2^(bits(D) + bits(R) + bits(G)) <= 2^(W - 2), so once each field is
+    biased by 2^(W - 1) it lies in [1, 2^W) and no field carries into the
+    next.  A clear top bit is then a negative product.
+    """
+    bits = (max(map(int.bit_length, chain.from_iterable(rows)))
+            + max(map(int.bit_length, chain.from_iterable(vectors)), default=0)
+            + len(rows[0]).bit_length() + 2)
+    size = -(-bits // 8)  # bytes per field
+    half = 1 << (8 * size - 1)
+    top = int.from_bytes((b"\x00" * (size - 1) + b"\x80") * len(rows), "little")
+    packed = [int.from_bytes(b"".join((x + half).to_bytes(size, "little") for x in col),
+                             "little") - top
+              for col in zip(*rows)]
+    return size, top, (sum(map(mul, g, packed)) + top for g in vectors)
+
+
+def _packed_signs(rows: Sequence[IntVec], vectors: Sequence[IntVec]) -> Iterator[bool]:
+    """For each vector g, whether g.row >= 0 on every row (:func:`_packed_products`)."""
+    _, top, products = _packed_products(rows, vectors)
+    return (biased & top == top for biased in products)
+
+
 # maps the top bytes of a packed nonzero pattern to binary digits: a field
 # whose top bit is clear holds a zero product, a set bit of the mask
 _ZERO_DIGIT = bytes.maketrans(b"\x80\x00", b"01")
@@ -425,30 +460,15 @@ def _packed_incidence(rows: Sequence[IntVec], vectors: Sequence[IntVec]
     """For each vector g, whether g.row >= 0 on every row, and the mask of
     the rows with g.row == 0 (read only when the first holds).
 
-    All V products of one vector run as ``len(row)`` big-int multiply-adds:
-    column j of the rows is packed into one int of V fields of W bits,
-    row i in field i.  With R, G the largest entries of the rows and of the
-    vectors and D the row length, every product has |p| <= D R G <
-    2^(bits(D) + bits(R) + bits(G)) <= 2^(W - 2), so once each field is
-    biased by 2^(W - 1) it lies in [1, 2^W) and no field carries into the
-    next.  A clear top bit is then a negative product, and with every top
-    bit set, adding 2^(W - 1) - 1 to the fields with their top bits cleared
-    sets the top bit exactly where p != 0; the fields' top bytes, read as
-    binary digits, give the mask.
+    With every top bit of the packed products set (:func:`_packed_products`),
+    adding 2^(W - 1) - 1 to the fields with their top bits cleared sets the
+    top bit exactly where p != 0; the fields' top bytes, read as binary
+    digits, give the mask.
     """
     n = len(rows)
-    bits = (max(map(int.bit_length, chain.from_iterable(rows)))
-            + max(map(int.bit_length, chain.from_iterable(vectors)), default=0)
-            + len(rows[0]).bit_length() + 2)
-    size = -(-bits // 8)  # bytes per field
-    half = 1 << (8 * size - 1)
-    top = int.from_bytes((b"\x00" * (size - 1) + b"\x80") * n, "little")
+    size, top, products = _packed_products(rows, vectors)
     low = top - int.from_bytes((b"\x01" + b"\x00" * (size - 1)) * n, "little")
-    packed = [int.from_bytes(b"".join((x + half).to_bytes(size, "little") for x in col),
-                             "little") - top
-              for col in zip(*rows)]
-    for g in vectors:
-        biased = sum(map(mul, g, packed)) + top
+    for biased in products:
         nonzero = ((biased ^ top) + low) & top
         yield (biased & top == top,
                int(nonzero.to_bytes(n * size, "big")[::size].translate(_ZERO_DIGIT), 2))
@@ -479,24 +499,39 @@ def _check_incidence(rays: list[tuple[IntVec, int]], lin: list[IntVec],
 
 
 def _hull(pts: list[QVec], dim: int) -> Polytope:
-    """One DD pass over the lifted distinct points (x, 1).
+    """One DD pass over the lifted distinct points (x, 1), sorted, handed
+    to :func:`_dd` largest common denominator first (the last entry of the
+    integer row), and in sorted order among equal denominators.
+
+    On the cut bodies of the restrict benchmark and the random generator,
+    the large-denominator points are the vertices the cuts created.  Their
+    hull is already close to the final body, so the later corners (E(S)'s
+    vertices, 0 and u) each add few facets.  On the 10 restrict hull inputs
+    of benchmark seeds 11 and 3, against the sorted order, the adjacent
+    pairs went from 21 077 to 7 303, the pairs scanned from 868 708 to
+    461 062 and the rays visited by adjacency tests from 1.90 M to 0.67 M.
+    Largest entry first came close; the sorted integer rows, coordinate
+    sums and reversed sweeps did worse.
 
     A ray (a, t) is the valid inequality a.x + t >= 0.  Rays tight on some
     point are the facets relative to the affine hull, and the lineality
     basis gives its equations.  The vertices are the points
-    :func:`_irredundant` keeps over the facet masks.
-
-    Before the masks are read, :func:`_check_incidence` proves, for every
-    lifted point, that it is on the valid side of every facet, that each
-    mask is the true tight set and that every equation is zero on it.  A
-    field of W bits holds any product, since |g.row| <= D R G <
-    2^(W - 2) for entries up to R and G in rows of length D.
+    :func:`_irredundant` keeps over the facet masks, in sorted order.
+    :func:`_check_incidence` proves every facet, mask and equation against
+    every lifted point, in the order :func:`_dd` saw them, before the masks
+    are read.
     """
     rows = [integerize(tuple(p) + (Fraction(1),)) for p in pts]
+    order = range(len(pts))
+    if any(r[-1] != rows[0][-1] for r in rows):
+        # largest common denominator first; the sort is stable and pts sorted
+        order = sorted(order, key=lambda i: -rows[i][-1])
+        pts, rows = [pts[i] for i in order], [rows[i] for i in order]
     rays, lin = _dd(rows, dim + 1)
     _check_incidence(rays, lin, rows, pts)
     facet_rays = [(g, mask) for g, mask in rays if mask and any(g[:dim])]
-    vertices = tuple(pts[i] for i in _irredundant((m for _, m in facet_rays), len(pts)))
+    kept = _irredundant((m for _, m in facet_rays), len(pts))
+    vertices = tuple(pts[k] for k in sorted(kept, key=order.__getitem__))
     facets = [Halfspace._from_ints(g[:dim], -g[dim]) for g, _ in facet_rays]
     for l in lin:
         facets.append(Halfspace._from_ints(l[:dim], -l[dim]))
@@ -525,10 +560,10 @@ def hrep_to_vrep(halfspaces: Sequence[Halfspace]) -> Polytope:
     body has two or more rows tight on every vertex (each implicit
     equation is a positive combination of others), so none is kept and its
     facets are derived from the vertices on first use.  No answer depends
-    on the insertion order.  Hull input keeps its sorted point order, the
-    fastest measured there (see :func:`_dd`).  Raises UnboundedError when
-    the intersection has a recession direction and EmptyIntersectionError
-    when it is empty.
+    on the insertion order; :func:`_check_incidence` proves the vertices
+    and masks against every row before they are read.  Raises
+    UnboundedError when the intersection has a recession direction and
+    EmptyIntersectionError when it is empty.
     """
     if not halfspaces:
         raise EmptyInputError("no halfspaces")
@@ -541,6 +576,7 @@ def hrep_to_vrep(halfspaces: Sequence[Halfspace]) -> Polytope:
     first[(0,) * dim + (1,)] = len(halfspaces)  # homogenization s >= 0
     rows = sorted(first)
     rays, lin = _dd(rows, dim + 1)
+    _check_incidence(rays, lin, rows, rows)
     vertices = []
     recession = False
     for g, mask in rays:

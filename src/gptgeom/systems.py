@@ -23,6 +23,7 @@ from .geometry import (
     _iprim,
     _irredundant,
     _packed_incidence,
+    _packed_signs,
     hrep_to_vrep,
     hull_reduce,
     set_equal,
@@ -183,7 +184,7 @@ def _range_axiom(states: Polytope, effects: Polytope) -> list[Violation]:
     # with few, or on a failure, the loop, which names the pair
     scaled_states = [as_integers(w) for w in states.vertices]
     scaled_effects = [as_integers(e) for e in effects.vertices]
-    if len(scaled_states) >= _PACKED_ROWS and all(ok for ok, _ in _packed_incidence(
+    if len(scaled_states) >= _PACKED_ROWS and all(_packed_signs(
             [r for ie, se in scaled_effects for r in (ie + [0], [-x for x in ie] + [se])],
             [tuple(iw) + (sw,) for iw, sw in scaled_states])):
         return []
@@ -514,8 +515,8 @@ def _classify(sys: GptSystem) -> Classification:
     if len(normals) < _PACKED_ROWS:
         witness = next((v for v in es.vertices if not _in_cone(v, normals)), None)
     else:
-        found = _packed_incidence(normals, [integerize(v) for v in es.vertices])
-        witness = next((v for v, (inside, _) in zip(es.vertices, found) if not inside), None)
+        found = _packed_signs(normals, [integerize(v) for v in es.vertices])
+        witness = next((v for v, inside in zip(es.vertices, found) if not inside), None)
     if witness is None:
         return Classification(GptClass.NOISY_UNRESTRICTED)
     return Classification(GptClass.NOT_ALMOST_NU, witness=witness)

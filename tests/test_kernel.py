@@ -11,10 +11,10 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gptgeom import geometry, smooth, systems
+from gptgeom import geometry, randomgen, smooth, systems
 from gptgeom.gallery import load
 from gptgeom.geometry import (
     Halfspace,
@@ -27,7 +27,7 @@ from gptgeom.geometry import (
     set_equal,
     vrep_to_hrep,
 )
-from gptgeom.linalg import QVec, integerize, qvec
+from gptgeom.linalg import DimensionMismatchError, QVec, integerize, qvec
 from gptgeom.lp import hull_vertices_lp, in_cone, in_convex_hull
 from gptgeom.randomgen import random_state_space, random_system
 from gptgeom.smooth import AnuBit, NoisyRebit, Rebit, discretize
@@ -253,6 +253,33 @@ def test_hull_self_check_catches_a_wrong_facet(monkeypatch):
         hull_reduce([qvec(0, 0), qvec(1, 0), qvec(0, 1), qvec(1, 1)])
 
 
+def _flip_first_mask(real):
+    def wrong(normals, dim):
+        rays, lin = real(normals, dim)
+        g, mask = rays[0]
+        return [(g, mask ^ 1)] + rays[1:], lin
+    return wrong
+
+
+_UNIT_SQUARE = [Halfspace(qvec(1, 0), 0), Halfspace(qvec(-1, 0), -1),
+                Halfspace(qvec(0, 1), 0), Halfspace(qvec(0, -1), -1)]
+
+
+def test_hrep_and_cone_prove_every_mask(monkeypatch):
+    # the square keeps its four rows as facets: no hull pass reads any mask
+    assert hrep_to_vrep(_UNIT_SQUARE)._facets == tuple(_UNIT_SQUARE)
+
+    def no_hull(pts, dim):
+        raise AssertionError("a hull pass")
+
+    monkeypatch.setattr(geometry, "_hull", no_hull)
+    monkeypatch.setattr(geometry, "_dd", _flip_first_mask(geometry._dd))
+    with pytest.raises(SelfCheckError):
+        hrep_to_vrep(_UNIT_SQUARE)
+    with pytest.raises(SelfCheckError):
+        geometry.Cone([qvec(1, 0), qvec(1, 1)])
+
+
 def _first_misplaced(rays, lin, rows):
     """The plain product loop: the first (facet, row index) whose product is
     negative or whose zero disagrees with the mask; "lin" when only a
@@ -390,6 +417,12 @@ def test_hull_self_check_survives_optimized_mode():
         "square = [qvec(0, 0), qvec(1, 0), qvec(0, 1), qvec(1, 1)]\n"
         "if not fails(lambda: geometry.hull_reduce(square)):\n"
         "    sys.exit(4)\n"
+        "box = [geometry.Halfspace(qvec(1, 0), 0), geometry.Halfspace(qvec(-1, 0), -1),\n"
+        "       geometry.Halfspace(qvec(0, 1), 0), geometry.Halfspace(qvec(0, -1), -1)]\n"
+        "if not fails(lambda: geometry.hrep_to_vrep(box)):\n"
+        "    sys.exit(9)\n"
+        "if not fails(lambda: geometry.Cone([qvec(1, 0), qvec(1, 1)])):\n"
+        "    sys.exit(10)\n"
         "geometry._dd = real\n"
         "# the bit's E(S) with its facet through 0 and v tilted away from v\n"
         "u, v = qvec(0, 1), qvec(F(1, 2), F(1, 2))\n"
@@ -575,6 +608,111 @@ def test_hrep_gives_dd_its_rows_sorted(monkeypatch):
     body = hrep_to_vrep(hs)
     assert seen == [sorted(rows)]
     assert body._facets == tuple(h for h in hs if h in set(body._facets))
+
+
+_MIXED = [qvec(0, 0), qvec(1, 0), qvec(F(1, 3), 1), qvec(F(1, 2), F(1, 4)), qvec(F(1, 6), 0),
+          qvec(F(1, 3), F(1, 3)), qvec(1, 0)]
+
+
+def test_hull_gives_dd_its_rows_largest_denominator_first(monkeypatch):
+    rows = [integerize(tuple(p) + (F(1),)) for p in set(_MIXED)]
+    order = sorted(rows, key=lambda r: (-r[-1], r))
+    assert order != sorted(rows)  # not the lexicographic order
+    seen = []
+    real = geometry._dd
+
+    def recorded(normals, dim):
+        seen.append(list(normals))
+        return real(normals, dim)
+
+    monkeypatch.setattr(geometry, "_dd", recorded)
+    body = hull_reduce(_MIXED)
+    assert seen == [order]
+    # the vertices come back sorted, whatever order the pass saw them in
+    assert body.vertices == (qvec(0, 0), qvec(F(1, 3), 1), qvec(1, 0))
+
+
+def _lex_hull(points):
+    """The oracle for the denominator-first order: one DD pass over the
+    lexicographically sorted lifted points, read as :func:`geometry._hull`
+    reads its pass.  The vertex tuple, the facets and the equations."""
+    pts = [QVec(p) for p in points]
+    if not pts:
+        raise geometry.EmptyInputError("hull of no points")
+    dim = len(pts[0])
+    if any(len(p) != dim for p in pts):
+        raise DimensionMismatchError("hull input of mixed dimension")
+    pts = sorted(set(pts))
+    rays, lin = geometry._dd([integerize(tuple(p) + (F(1),)) for p in pts], dim + 1)
+    facet_rays = [(g, mask) for g, mask in rays if mask and any(g[:dim])]
+    vertices = tuple(pts[i] for i in geometry._irredundant((m for _, m in facet_rays),
+                                                            len(pts)))
+    equations = {Halfspace._from_ints(l[:dim], -l[dim]) for l in lin}
+    equations |= {Halfspace._from_ints(tuple(-x for x in l[:dim]), l[dim]) for l in lin}
+    return vertices, {Halfspace._from_ints(g[:dim], -g[dim]) for g, _ in facet_rays}, equations
+
+
+def _hull_outcome(points):
+    """hull_reduce's vertex tuple, facets and equations (the halfspaces kept
+    with their negation), or its error type."""
+    try:
+        p = hull_reduce(points)
+    except ValueError as exc:
+        return type(exc)
+    kept = {(h.inormal, h.ioffset) for h in p.facets}
+    equations = {h for h in p.facets if (tuple(-x for x in h.inormal), -h.ioffset) in kept}
+    return p.vertices, set(p.facets) - equations, equations
+
+
+def _lex_outcome(points):
+    try:
+        return _lex_hull(points)
+    except ValueError as exc:
+        return type(exc)
+
+
+mixed_coord = st.builds(F, st.integers(-4, 4), st.sampled_from([1, 2, 3, 4, 6, 9]))
+
+
+@st.composite
+def hull_inputs(draw):
+    """Points of mixed denominators with duplicates; points on a line or
+    plane; a single point; the vertices of a random state space's effect
+    body cut through an interior point, with 0 and u, as the random
+    generator hulls them; now and then no points or mixed dimensions."""
+    kind = draw(st.sampled_from(["mixed", "flat", "cut", "bad"]))
+    if kind == "cut":
+        rng = random.Random(draw(st.integers(0, 2 ** 32)))
+        states = random_state_space(rng, draw(st.integers(3, 4)))
+        full, u = unrestricted_effects(states), states.unit
+        q = randomgen._interior_point(rng, full)
+        normal = QVec([randomgen.random_fraction(rng) for _ in u])
+        hs = list(full.facets) + ([Halfspace(-normal, -normal.dot(q))] if any(normal) else [])
+        hs += [Halfspace(-h.normal, h.offset - h.normal.dot(u)) for h in hs]
+        try:
+            closed = hrep_to_vrep(hs)
+        except (geometry.EmptyIntersectionError, UnboundedError):
+            assume(False)
+        return list(closed.vertices) + [u * 0, u]
+    if kind == "bad":
+        return draw(st.sampled_from([[], [qvec(1, 2), qvec(1, 2, 3)]]))
+    dim = draw(st.integers(1, 5))
+    vecs = st.tuples(*[mixed_coord] * dim).map(QVec)
+    if kind == "mixed":
+        pts = draw(st.lists(vecs, min_size=1, max_size=10))
+    else:
+        base = draw(st.lists(vecs, min_size=1, max_size=min(dim, 3)))
+        weights = st.lists(st.sampled_from([F(0), F(1, 3), F(1, 2), F(1), F(2)]),
+                           min_size=len(base), max_size=len(base))
+        pts = [sum((b * w for b, w in zip(base[1:], ws)), base[0])
+               for ws in draw(st.lists(weights, min_size=1, max_size=8))]
+    return pts + draw(st.lists(st.sampled_from(pts), max_size=2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(hull_inputs())
+def test_hull_answers_match_the_lexicographic_pass(pts):
+    assert _hull_outcome(pts) == _lex_outcome(pts)
 
 
 def test_effect_body_of_the_256_gon():

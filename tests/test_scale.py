@@ -1,4 +1,4 @@
-"""The scale script's table, at a small n."""
+"""The scale script's table, at a small n and a small dimension."""
 import subprocess
 import sys
 from pathlib import Path
@@ -19,3 +19,26 @@ def test_scale_prints_times_and_passes_per_step():
         assert all(float(x) >= 0 for x in row[1::2])
         # E(S) in closed form, none to classify, one for W(E) in admits_gtt
         assert row[2::2] == ["0", "0", "1"]
+
+
+def test_scale_prints_a_row_per_random_seed():
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "scale.py"), "--family", "random", "--dim", "4",
+         "--seed", "1", "2"], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    header, *rows = [line.split("\t") for line in done.stdout.splitlines()]
+    assert header == ["seed", "generate_s", "generate_dd", "classify_s", "classify_dd",
+                      "admits_gtt_s", "admits_gtt_dd"]
+    assert [row[0] for row in rows] == ["1", "2"]
+    for row in rows:
+        assert all(float(x) >= 0 for x in row[1::2])
+        # E(S) is stored while generating: none to classify, one for W(E)
+        assert int(row[2]) > 0 and row[4:7:2] == ["0", "1"]
+
+
+def test_scale_rejects_arguments_of_the_other_family():
+    for args in (["--family", "random", "--dim", "4"], ["--family", "random", "--n", "8"],
+                 ["--family", "rebit", "--seed", "1"]):
+        done = subprocess.run([sys.executable, str(ROOT / "tools" / "scale.py"), *args],
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2, args
