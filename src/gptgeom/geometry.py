@@ -508,8 +508,8 @@ def _hull(pts: list[QVec], dim: int) -> Polytope:
     hull is already close to the final body, so the later corners (E(S)'s
     vertices, 0 and u) each add few facets.  On the 10 restrict hull inputs
     of benchmark seeds 11 and 3, against the sorted order, the adjacent
-    pairs went from 21 077 to 7 303, the pairs scanned from 868 708 to
-    461 062 and the rays visited by adjacency tests from 1.90 M to 0.67 M.
+    pairs went from 20 993 to 8 164, the pairs scanned from 848 166 to
+    538 202 and the rays visited by adjacency tests from 1.87 M to 0.81 M.
     Largest entry first came close; the sorted integer rows, coordinate
     sums and reversed sweeps did worse.
 
