@@ -11,7 +11,8 @@ keeps the rows that are the only row tight on every ray tight at them:
 :func:`hull_reduce` reads the vertices from the facet masks of one pass over
 the lifted points, and :func:`hrep_to_vrep` the facets from the vertex masks
 of one pass over the distinct halfspaces.  :func:`_cone_from_normals` reads
-every cone's generators from one pass over its normals.
+every cone's generators from one pass over its normals.  Results leave the
+kernel as rows (x, s), s > 0, made points once by one sort, :func:`_vertex_order`.
 
 Before the adjacency scan, a pair of rays is dropped when its common tight
 set has fewer than ``dim - len(lin) - 2`` members (one popcount), a
@@ -22,17 +23,17 @@ generate, and dimension 8 is the current frontier.
 
 Every DD result is proved right on the rows it came from before it is
 read: each ray on the valid side of each row, each mask exactly the
-ray's tight rows, each lineality vector zero on every row.  The products
-of one ray with all rows come from ``len(row)`` multiplications of packed
-integers whose fields have room for the largest product the entry sizes
-allow, so none carries into the next (:func:`_check_incidence`).
+ray's tight rows, each lineality vector zero on every row.  From 8 rows
+on, the products of one ray with all rows come from ``len(row)`` products of
+packed integers whose fields have room for the largest product the entry
+sizes allow, so none carries into the next (:func:`_check_incidence`).
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 from itertools import chain
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterable, Iterator, Sequence
 
 from .linalg import (
@@ -184,10 +185,6 @@ def _irredundant(masks: Iterable[int], n: int) -> list[int]:
     return [i for i in range(n) if common[i] == 1 << i]
 
 
-def _to_int(vecs: Iterable[Sequence[Fraction]]) -> list[IntVec]:
-    return [integerize(v) for v in vecs]
-
-
 # ---------------------------------------------------------------------------
 # halfspaces and polytopes
 
@@ -214,7 +211,7 @@ class Halfspace:
     def _from_ints(cls, inormal: IntVec, ioffset: int) -> "Halfspace":
         """From a primitive integer pair with a nonzero normal."""
         h = object.__new__(cls)
-        h.normal = QVec(inormal)
+        h.normal = QVec._raw(map(Fraction, inormal))
         h.offset = Fraction(ioffset)
         h.inormal, h.ioffset = inormal, ioffset
         return h
@@ -235,7 +232,7 @@ class Halfspace:
         return hash((self.inormal, self.ioffset))
 
     def __repr__(self):
-        return f"Halfspace({list(self.normal)} . x >= {self.offset})"
+        return f"Halfspace(({', '.join(map(str, self.normal))}) . x >= {self.offset})"
 
 
 class Polytope:
@@ -262,8 +259,7 @@ class Polytope:
     __slots__ = ("vertices", "_facets")
 
     def __init__(self, points: Iterable[Sequence]):
-        pts = [QVec(p) for p in points]
-        reduced = hull_reduce(pts)
+        reduced = hull_reduce(points)
         self.vertices = reduced.vertices
         self._facets = reduced._facets
 
@@ -362,7 +358,7 @@ class Cone:
         if self.is_trivial():
             return x.is_zero() and not strict
         if self._inormals is None:
-            self._inormals = _to_int(self.halfspaces)
+            self._inormals = [integerize(n) for n in self.halfspaces]
         xi = integerize(x)
         if strict:
             return all(_idot(n, xi) > 0 for n in self._inormals)
@@ -391,31 +387,57 @@ class Cone:
 def _cone_from_normals(normals: Sequence[QVec], dim: int) -> Cone:
     """The cone {x : n.x >= 0 for all n}, keeping the normals as its
     halfspaces.  Its sorted generators are the DD rays and the lineality
-    basis as antipodal pairs, or the origin alone when both are empty."""
-    rows = _to_int(normals)
+    basis as antipodal pairs (sorted as ints), or the origin alone."""
+    rows = [integerize(n) for n in normals]
     rays, lin = _dd(rows, dim)
-    _check_incidence(rays, lin, rows, normals)
+    _check_incidence(rays, lin, rows, normals,
+                     "generator {g} is misplaced against normal {name}")
     gens = [r for r, _ in rays]
     for l in lin:
         gens += [l, tuple(-x for x in l)]
-    return Cone._raw(tuple(sorted(map(QVec, gens))) or (zero_vector(dim),),
-                     tuple(normals))
+    return Cone._raw(tuple(QVec._raw(map(Fraction, g)) for g in sorted(gens))
+                     or (zero_vector(dim),), tuple(normals))
 
 
 # ---------------------------------------------------------------------------
 # public operations
 
 
-def hull_reduce(points: Sequence[Sequence]) -> Polytope:
+def hull_reduce(points: Iterable[Sequence]) -> Polytope:
     """Irredundant vertex set of the convex hull of the given points; the
-    result keeps the facets found on the way."""
-    pts = [QVec(p) for p in points]
-    if not pts:
+    result keeps the facets found on the way.  Points are deduped on their
+    lifted rows (x, s), and a QVec is kept as given."""
+    first: dict[IntVec, QVec] = {}  # each distinct row: its first point
+    for p in points:
+        v = p if type(p) is QVec else QVec(p)
+        first.setdefault(_lifted(v), v)
+    if not first:
         raise EmptyInputError("hull of no points")
-    dim = len(pts[0])
-    if any(len(p) != dim for p in pts):
+    dim = len(next(iter(first))) - 1
+    if any(len(r) != dim + 1 for r in first):
         raise DimensionMismatchError("hull input of mixed dimension")
-    return _hull(sorted(set(pts)), dim)
+    return _hull(first, dim, first)
+
+
+def _lifted(v: QVec) -> IntVec:
+    """The primitive row (x, s), s > 0, of the point v = x / s."""
+    x, s = as_integers(v)
+    return (*x, s)
+
+
+def _vertex_order(rows: Iterable[IntVec], points: dict[IntVec, QVec] | None = None
+                  ) -> list[tuple[IntVec, QVec]]:
+    """Each row (x, s), s > 0, with its point x / s (``points[row]`` or a new
+    QVec), sorted by point.  A coordinate keys as x 2^64 // s, then its Fraction,
+    so ints decide nearly every comparison and the order is exact.  (An lcm key
+    grows with the body: 5291 bits for E(S) of the 1024-gon.)"""
+    keyed = []
+    for r in rows:
+        s = r[-1]
+        v = points[r] if points is not None else QVec._raw([Fraction(x, s) for x in r[:-1]])
+        keyed.append(([k for x, c in zip(r, v) for k in ((x << 64) // s, c)], r, v))
+    keyed.sort(key=itemgetter(0))
+    return [(r, v) for _, r, v in keyed]
 
 
 def _packed_products(rows: Sequence[IntVec], vectors: Sequence[IntVec]
@@ -474,34 +496,45 @@ def _packed_incidence(rows: Sequence[IntVec], vectors: Sequence[IntVec]
                int(nonzero.to_bytes(n * size, "big")[::size].translate(_ZERO_DIGIT), 2))
 
 
+# Below this many rows a plain product loop beats a packed pass, in the incidence
+# proof and in the system layer's sign-only passes; they tie near 6 to 8 rows
+_PACKED_ROWS = 8
+
+
 def _check_incidence(rays: list[tuple[IntVec, int]], lin: list[IntVec],
-                     rows: Sequence[IntVec], names: Sequence) -> None:
+                     rows: Sequence[IntVec], names: Sequence,
+                     wording: str = "facet {g} misplaces input point {name}") -> None:
     """Raise SelfCheckError unless every ray g has g.row >= 0 on every row,
     with equality exactly on the rows its mask names, and every lineality
-    vector l has l.row == 0 on every row.  The products run packed
-    (:func:`_packed_incidence`); only on a failure does the plain product
-    loop run, to name the first misplaced point (``names[i]`` for row i).
+    vector l has l.row == 0 on every row.  From ``_PACKED_ROWS`` rows on the
+    products run packed (:func:`_packed_incidence`); below, or on a failure,
+    the plain loop runs, and names the first misplaced pair in ``wording``.
     """
     if not rows or not (rays or lin):
         return
-    masks = [m for _, m in rays] + [(1 << len(rows)) - 1] * len(lin)
-    found = _packed_incidence(rows, [g for g, _ in rays] + lin)
-    if all(valid and zeros == mask for (valid, zeros), mask in zip(found, masks)):
-        return
+    packed = len(rows) >= _PACKED_ROWS
+    if packed:
+        masks = [m for _, m in rays] + [(1 << len(rows)) - 1] * len(lin)
+        found = _packed_incidence(rows, [g for g, _ in rays] + lin)
+        if all(valid and zeros == mask for (valid, zeros), mask in zip(found, masks)):
+            return
     for g, mask in rays:
         for i, row in enumerate(rows):
             v = _idot(g, row)
             if v < 0 or (v == 0) != bool(mask >> i & 1):
-                raise SelfCheckError(f"facet {g} misplaces input point {names[i]}")
+                raise SelfCheckError(wording.format(g=g, name=names[i]))
     if any(_idot(l, row) for l in lin for row in rows):
         raise SelfCheckError("an affine-hull equation fails on an input point")
-    raise SelfCheckError("the packed incidence check and the product loop disagree")
+    if packed:
+        raise SelfCheckError("the packed incidence check and the product loop disagree")
 
 
-def _hull(pts: list[QVec], dim: int) -> Polytope:
-    """One DD pass over the lifted distinct points (x, 1), sorted, handed
-    to :func:`_dd` largest common denominator first (the last entry of the
-    integer row), and in sorted order among equal denominators.
+def _hull(rows: Iterable[IntVec], dim: int, points: dict[IntVec, QVec] | None = None
+          ) -> Polytope:
+    """One DD pass over the distinct primitive lifted points (x, s), s > 0,
+    sorted by their points x / s (:func:`_vertex_order`, which keeps the
+    caller's ``points``), handed to :func:`_dd` largest common denominator
+    s first, and in sorted order among equal denominators.
 
     On the cut bodies of the restrict benchmark and the random generator,
     the large-denominator points are the vertices the cuts created.  Their
@@ -521,12 +554,10 @@ def _hull(pts: list[QVec], dim: int) -> Polytope:
     every lifted point, in the order :func:`_dd` saw them, before the masks
     are read.
     """
-    rows = [integerize(tuple(p) + (Fraction(1),)) for p in pts]
-    order = range(len(pts))
-    if any(r[-1] != rows[0][-1] for r in rows):
-        # largest common denominator first; the sort is stable and pts sorted
-        order = sorted(order, key=lambda i: -rows[i][-1])
-        pts, rows = [pts[i] for i in order], [rows[i] for i in order]
+    ordered = _vertex_order(rows, points)
+    # largest common denominator first; the sort is stable
+    order = sorted(range(len(ordered)), key=lambda i: -ordered[i][0][-1])
+    rows, pts = [ordered[i][0] for i in order], [ordered[i][1] for i in order]
     rays, lin = _dd(rows, dim + 1)
     _check_incidence(rays, lin, rows, pts)
     facet_rays = [(g, mask) for g, mask in rays if mask and any(g[:dim])]
@@ -542,7 +573,8 @@ def _hull(pts: list[QVec], dim: int) -> Polytope:
 def vrep_to_hrep(p: Polytope) -> list[Halfspace]:
     """Facet description of a polytope (equality pairs when degenerate),
     derived from its vertices."""
-    return list(_hull(list(p.vertices), p.dim).facets)
+    points = {_lifted(v): v for v in p.vertices}
+    return list(_hull(points, p.dim, points).facets)
 
 
 def hrep_to_vrep(halfspaces: Sequence[Halfspace]) -> Polytope:
@@ -576,14 +608,15 @@ def hrep_to_vrep(halfspaces: Sequence[Halfspace]) -> Polytope:
     first[(0,) * dim + (1,)] = len(halfspaces)  # homogenization s >= 0
     rows = sorted(first)
     rays, lin = _dd(rows, dim + 1)
-    _check_incidence(rays, lin, rows, rows)
-    vertices = []
+    labels = (*halfspaces, "s >= 0")
+    _check_incidence(rays, lin, rows, [labels[first[r]] for r in rows],
+                     "homogeneous vertex {g} is misplaced against {name}")
+    vertices = {}  # each vertex's row (x, s), s > 0: its mask
     recession = False
     for g, mask in rays:
-        head, s = g[:dim], g[dim]
-        if s > 0:
-            vertices.append((QVec(Fraction(x, s) for x in head), mask))
-        elif any(head):
+        if g[dim] > 0:
+            vertices[g] = mask
+        elif any(g[:dim]):
             recession = True
     if not vertices:
         # lineality can only pass through points of the set, so an empty
@@ -591,8 +624,8 @@ def hrep_to_vrep(halfspaces: Sequence[Halfspace]) -> Polytope:
         raise EmptyIntersectionError("halfspace intersection is empty")
     if recession or lin:
         raise UnboundedError("halfspace intersection is unbounded")
-    kept = sorted(first[rows[k]] for k in _irredundant((m for _, m in vertices), len(rows)))
-    return Polytope._raw(tuple(sorted(v for v, _ in vertices)),
+    kept = sorted(first[rows[k]] for k in _irredundant(vertices.values(), len(rows)))
+    return Polytope._raw(tuple(v for _, v in _vertex_order(vertices)),
                          tuple(halfspaces[i] for i in kept) or None)
 
 

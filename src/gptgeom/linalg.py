@@ -1,7 +1,8 @@
 """Exact rational vectors, matrices and linear solving.
 
-Everything in this package runs on ``fractions.Fraction``; floats are
-rejected at the boundary so that set equalities downstream are decidable.
+The API takes and returns ``fractions.Fraction``; floats are rejected at the
+boundary so that set equalities downstream are decidable.  The kernels run on
+integers (:func:`as_integers`); their results become QVecs via ``QVec._raw``.
 """
 from __future__ import annotations
 
@@ -10,7 +11,8 @@ import re
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+# the whole literal, surrounding whitespace allowed: numerator, denominator
+_RATIONAL_RE = re.compile(r"\s*([+-]?\d+)(?:/([1-9]\d*))?\s*")
 
 
 class ExactArithmeticError(TypeError):
@@ -34,10 +36,11 @@ def as_fraction(value) -> Fraction:
 
 def parse_rational(text: str) -> Fraction:
     """Parse a rational literal of the form '3', '-2' or 'p/q'."""
-    s = text.strip()
-    if not _RATIONAL_RE.match(s):
+    m = _RATIONAL_RE.fullmatch(text)
+    if m is None:
         raise ExactArithmeticError(f"not an exact rational literal: {text!r}")
-    return Fraction(s)
+    num, den = m.groups()
+    return Fraction(int(num), int(den)) if den else Fraction(int(num))
 
 
 class QVec(tuple):
@@ -45,10 +48,16 @@ class QVec(tuple):
 
     Subclasses tuple, so instances are hashable and ordered; ``+``, ``-``
     and scalar ``*`` act componentwise rather than as sequence operators.
+    A non-QVec operand is coerced by ``QVec(...)``, a scalar by :func:`as_fraction`.
     """
 
     def __new__(cls, coords: Iterable) -> "QVec":
         return super().__new__(cls, (as_fraction(c) for c in coords))
+
+    @classmethod
+    def _raw(cls, fractions: Iterable[Fraction]) -> "QVec":
+        """Trusted constructor: the coordinates are Fractions already."""
+        return tuple.__new__(cls, fractions)
 
     @property
     def dim(self) -> int:
@@ -62,22 +71,25 @@ class QVec(tuple):
         return sum((a * b for a, b in zip(self, other)), Fraction(0))
 
     def __add__(self, other):
+        other = other if type(other) is QVec else QVec(other)
         if len(self) != len(other):
             raise DimensionMismatchError("vector addition dimension mismatch")
-        return QVec(a + b for a, b in zip(self, other))
+        return QVec._raw(a + b for a, b in zip(self, other))
 
     __radd__ = __add__
 
     def __sub__(self, other):
+        other = other if type(other) is QVec else QVec(other)
         if len(self) != len(other):
             raise DimensionMismatchError("vector subtraction dimension mismatch")
-        return QVec(a - b for a, b in zip(self, other))
+        return QVec._raw(a - b for a, b in zip(self, other))
 
     def __neg__(self):
-        return QVec(-a for a in self)
+        return QVec._raw(-a for a in self)
 
     def __mul__(self, scalar):
-        return QVec(a * as_fraction(scalar) for a in self)
+        scalar = as_fraction(scalar)
+        return QVec._raw(a * scalar for a in self)
 
     __rmul__ = __mul__
 

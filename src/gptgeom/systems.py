@@ -12,6 +12,7 @@ from operator import and_, mul, or_
 from typing import Optional, Sequence
 
 from .geometry import (
+    _PACKED_ROWS,
     EmptyIntersectionError,
     Halfspace,
     Polytope,
@@ -19,13 +20,14 @@ from .geometry import (
     UnboundedError,
     _bits,
     _check_incidence,
+    _hull,
     _idot,
     _iprim,
     _irredundant,
     _packed_incidence,
     _packed_signs,
+    _vertex_order,
     hrep_to_vrep,
-    hull_reduce,
     set_equal,
 )
 from .linalg import (
@@ -174,10 +176,6 @@ def _complement_key(iu: list[int], t: int, x: list[int], s: int) -> tuple[tuple[
     return tuple(c // g for c in num), den // g
 
 
-# Below 16 rows (states, normals of cone(E)) a loop beats a packed pass; they tie near 8
-_PACKED_ROWS = 16
-
-
 def _range_axiom(states: Polytope, effects: Polytope) -> list[Violation]:
     # 0 <= e.w <= 1 on every pair, on integers (e = ie / se, w = iw / sw): with many
     # states one packed pass of the rows (ie, 0), (-ie, se) against each (iw, sw);
@@ -295,11 +293,13 @@ def validate_system(states: StateSpace | Polytope, effects: Polytope, name: str 
 def effect_constraints(states: StateSpace) -> list[Halfspace]:
     """H-description of all mathematically valid effects for S: for every
     extremal state w, 0 <= e.w <= 1.  Useful directly when the effect body
-    is unbounded (states not affinely spanning)."""
+    is unbounded (states not affinely spanning).  With w = x / s scaled
+    once to integers, the primitive rows are (x / gcd(x), 0) and (-x, -s)."""
     hs = []
     for w in states.polytope.vertices:
-        hs.append(Halfspace(w, 0))
-        hs.append(Halfspace(-w, -1))
+        x, s = as_integers(w)
+        hs.append(Halfspace._from_ints(_iprim(tuple(x)), 0))
+        hs.append(Halfspace._from_ints(tuple(-v for v in x), -s))
     return hs
 
 
@@ -369,9 +369,9 @@ def _polygon_effects(states: StateSpace, hs: list[Halfspace]) -> Polytope:
         rays.setdefault(_iprim(tuple(x * lj for x in c) + (su * v,)), low | high)
         rays.setdefault(_iprim(tuple(y * v - x * lj for x, y in zip(c, iu)) + (su * v,)),
                         low << 1 | high >> 1)  # u - e
-    _check_incidence(list(rays.items()), [], [h.inormal + (-h.ioffset,) for h in hs], hs)
-    return Polytope._raw(tuple(sorted(QVec(Fraction(x, g[-1]) for x in g[:-1]) for g in rays)),
-                         tuple(hs))
+    _check_incidence(list(rays.items()), [], [h.inormal + (-h.ioffset,) for h in hs], hs,
+                     "homogeneous vertex {g} is misplaced against {name}")
+    return Polytope._raw(tuple(v for _, v in _vertex_order(rays)), tuple(hs))
 
 
 def noisy_effects(full: Polytope, unit: QVec, p: Fraction) -> Polytope:
@@ -398,7 +398,8 @@ def noisy_effects(full: Polytope, unit: QVec, p: Fraction) -> Polytope:
     dim, n, pn, pd = len(unit), len(full.vertices), p.numerator, p.denominator
     iu, su = as_integers(unit)
     rows = [h.inormal + (-h.ioffset,) for h in full.facets]
-    vrows = [integerize(tuple(v) + (Fraction(1),)) for v in full.vertices]
+    scaled = [as_integers(v) for v in full.vertices]
+    vrows = [(*x, s) for x, s in scaled]
     masks = [m for _, m in _packed_incidence(vrows, rows)]  # vertices on each facet
     through = [0] * n  # facets through each vertex, the transpose of masks
     for f, m in enumerate(masks):
@@ -417,17 +418,23 @@ def noisy_effects(full: Polytope, unit: QVec, p: Fraction) -> Polytope:
                 r = [-at[f2] * x + at[f1] * y for x, y in zip(rows[f1], rows[f2])]
                 new.append((_iprim(tuple(pd * x for x in r[:-1]) + (pn * r[-1],)),
                             common, common))
-    # the candidates: copy c < n is p.v (v != u), copy n + c is p.v + t (v != 0)
-    t = unit * (1 - p)
-    copies = sorted([(v * p, c) for c, v in enumerate(full.vertices) if v != unit]
-                    + [(v * p + t, n + c) for c, v in enumerate(full.vertices) if not v.is_zero()])
-    pts, bit = [], [0] * (2 * n)  # bit[c]: copy c's bit over the distinct candidates
-    for x, c in copies:
-        if not pts or pts[-1] != x:
-            pts.append(x)
-        bit[c] = 1 << (len(pts) - 1)
+    # the candidates as integer rows: copy c < n is p.v = pn x / (pd s) (v != u),
+    # copy n + c is p.v + t = (pn su x + (pd - pn) s iu) / (pd s su) (v != 0)
+    copies: dict[tuple[int, ...], list[int]] = {}  # each distinct candidate: its copies
+    for c, (x, s) in enumerate(scaled):
+        if x != iu or s != su:
+            copies.setdefault(_iprim((*(pn * a for a in x), pd * s)), []).append(c)
+        if any(x):
+            copies.setdefault(_iprim((*(pn * su * a + (pd - pn) * s * b for a, b in zip(x, iu)),
+                                      pd * s * su)), []).append(n + c)
+    ordered = _vertex_order(copies)
+    bit = [0] * (2 * n)  # bit[c]: copy c's bit over the distinct candidates
+    for i, (r, _) in enumerate(ordered):
+        for c in copies[r]:
+            bit[c] = 1 << i
+    pts = [v for _, v in ordered]
     rays = [(g, reduce(or_, map(bit.__getitem__, _bits(lo | hi << n)), 0)) for g, lo, hi in new]
-    _check_incidence(rays, [], [integerize(tuple(x) + (Fraction(1),)) for x in pts], pts)
+    _check_incidence(rays, [], [r for r, _ in ordered], pts)
     return Polytope._raw(tuple(pts[i] for i in _irredundant((m for _, m in rays), len(pts))),
                          tuple(Halfspace._from_ints(g[:-1], -g[-1]) for g, _ in rays))
 
@@ -455,12 +462,15 @@ def states_from_effects(effects: EffectSpace) -> Polytope:
     to E), unbounded when some u.a is not (E fails to span).
     """
     normals = _cone_normals(effects)
-    weights = [effects.unit.dot(a) for a in normals]
+    iu, su = as_integers(effects.unit)
+    weights = [_idot(iu, a) for a in normals]  # su (u.a)
     if not any(w > 0 for w in weights):
         raise EmptyIntersectionError("recovered state body is empty: 0 is interior to E")
     if any(w <= 0 for w in weights):
         raise UnboundedError("recovered state body is unbounded: effect space fails to span")
-    return hull_reduce([QVec(a) * (1 / w) for a, w in zip(normals, weights)])
+    # a / (u.a) is the row (su a, iu.a); a repeated normal is one point
+    return _hull({_iprim((*(su * x for x in a), w)) for a, w in zip(normals, weights)},
+                 effects.dim)
 
 
 class GptClass(enum.Enum):

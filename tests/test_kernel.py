@@ -273,11 +273,49 @@ def test_hrep_and_cone_prove_every_mask(monkeypatch):
         raise AssertionError("a hull pass")
 
     monkeypatch.setattr(geometry, "_hull", no_hull)
-    monkeypatch.setattr(geometry, "_dd", _flip_first_mask(geometry._dd))
-    with pytest.raises(SelfCheckError):
+    real = geometry._dd
+    monkeypatch.setattr(geometry, "_dd", _flip_first_mask(real))
+    # the rows in sorted order: -x >= -1 first, the homogenization s >= 0 third
+    with pytest.raises(SelfCheckError) as err:
         hrep_to_vrep(_UNIT_SQUARE)
-    with pytest.raises(SelfCheckError):
+    assert str(err.value) == ("homogeneous vertex (1, 1, 1) is misplaced against "
+                              "Halfspace((-1, 0) . x >= -1)")
+    with pytest.raises(SelfCheckError, match=r"^generator \(1, -1\) is misplaced against "
+                                             r"normal QVec\(1, 0\)$"):
         geometry.Cone([qvec(1, 0), qvec(1, 1)])
+    monkeypatch.setattr(geometry, "_dd", _flip_mask_bit(real, 2))
+    with pytest.raises(SelfCheckError,
+                       match=r"^homogeneous vertex .* is misplaced against s >= 0$"):
+        hrep_to_vrep(_UNIT_SQUARE)
+
+
+def _flip_mask_bit(real, bit):
+    def wrong(normals, dim):
+        rays, lin = real(normals, dim)
+        g, mask = rays[0]
+        return [(g, mask ^ 1 << bit)] + rays[1:], lin
+    return wrong
+
+
+def test_incidence_proof_is_plain_below_the_threshold_and_packed_above(monkeypatch):
+    packed = []
+    real_packed = geometry._packed_incidence
+
+    def counted(rows, vectors):
+        packed.append(len(rows))
+        return real_packed(rows, vectors)
+
+    monkeypatch.setattr(geometry, "_packed_incidence", counted)
+    small = [qvec(0, 0), qvec(1, 0), qvec(0, 1), qvec(1, 1)]
+    large = list(smooth.disc_polygon_states(geometry._PACKED_ROWS + 4).vertices)
+    for points in (small, large):
+        assert len(hull_reduce(points).vertices) == len(points)
+    assert packed == [len(large)]  # the square's proof ran the loop alone
+    monkeypatch.setattr(geometry, "_dd", _flip_first_mask(geometry._dd))
+    for points in (small, large):
+        with pytest.raises(SelfCheckError, match=r"^facet \(.*\) misplaces input point QVec\("):
+            hull_reduce(points)
+    assert packed == [len(large)] * 2
 
 
 def _first_misplaced(rays, lin, rows):
@@ -437,8 +475,8 @@ def test_hull_self_check_survives_optimized_mode():
         "    sys.exit(6)\n"
         "# the polygon's closed-form E(S) with one mask bit flipped\n"
         "check = systems._check_incidence\n"
-        "systems._check_incidence = lambda rays, lin, rows, names: check(\n"
-        "    [(rays[0][0], rays[0][1] ^ 1)] + rays[1:], lin, rows, names)\n"
+        "systems._check_incidence = lambda rays, lin, rows, *names: check(\n"
+        "    [(rays[0][0], rays[0][1] ^ 1)] + rays[1:], lin, rows, *names)\n"
         "pentagon = systems.StateSpace(smooth.disc_polygon_states(5))\n"
         "if not fails(lambda: systems.unrestricted_effects(pentagon)):\n"
         "    sys.exit(8)\n"

@@ -1,4 +1,5 @@
 """Exact scalar/vector/matrix layer."""
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from gptgeom.linalg import (
     DimensionMismatchError,
     ExactArithmeticError,
+    QVec,
     SingularMatrixError,
     as_fraction,
     integerize,
@@ -29,6 +31,56 @@ def test_parse_rational():
     for bad in ("0.5", "1e3", "1/0", "a/b", "1/-2"):
         with pytest.raises(ExactArithmeticError):
             parse_rational(bad)
+
+
+def _parse_rational_by_fraction(text):
+    """The earlier parse: the literal checked by one regex, then parsed
+    again by ``Fraction``'s own."""
+    s = text.strip()
+    if not re.match(r"^[+-]?\d+(/[1-9]\d*)?$", s):
+        raise ExactArithmeticError(f"not an exact rational literal: {text!r}")
+    return Fraction(s)
+
+
+def _parse_outcome(parse, text):
+    try:
+        value = parse(text)
+    except ExactArithmeticError as err:
+        return "error", str(err)
+    return type(value), value
+
+
+ACCEPTED = ["3", "-2", "+5", "3/4", "-3/4", "+3/4", "007", "-007/10", "0", "-0", "+0/7",
+            " 7 ", "\t-1/2\n", "\u00a0 12/35 \u2003", "\u0663/4", "-\u0661\u0662/5",
+            "6/4", "12345678901234567890123/98765432109876543210"]
+REJECTED = ["0.5", "1/0", "3/01", "1e3", "--1", "", " ", "+-1", "1/-2", "1 /2", "1/ 2",
+            "a/b", "1/2/3", "3/\u0664", "\u00b2", "1_000", "0x10", "inf", "nan", "1/2 3"]
+
+
+@pytest.mark.parametrize("text", ACCEPTED + REJECTED)
+def test_parse_rational_matches_the_earlier_parse(text):
+    expected = _parse_outcome(_parse_rational_by_fraction, text)
+    assert _parse_outcome(parse_rational, text) == expected
+    assert (expected[0] == "error") == (text in REJECTED)
+
+
+@settings(max_examples=300)
+@given(st.text(alphabet=st.sampled_from("0123456789+-/ \t\n\u00a0\u0663e._"), max_size=12))
+def test_parse_rational_matches_the_earlier_parse_on_drawn_text(text):
+    assert (_parse_outcome(parse_rational, text)
+            == _parse_outcome(_parse_rational_by_fraction, text))
+
+
+def test_qvec_operators_reject_floats():
+    a = qvec(1, 2)
+    for op in (lambda: a + (0.5, 1), lambda: (0.5, 1) + a, lambda: a - [0.5, 1],
+               lambda: a * 0.5, lambda: 0.5 * a):
+        with pytest.raises(ExactArithmeticError):
+            op()
+    # exact operands of other types are coerced, and results hold Fractions
+    for v in (a + (1, "1/2"), (1, "1/2") + a, a - [1, 2], -a, a * "1/3", 2 * a):
+        assert type(v) is QVec and all(type(c) is Fraction for c in v)
+    assert a + (1, "1/2") == qvec(2, "5/2") and a - [1, 2] == qvec(0, 0)
 
 
 def test_floats_rejected_everywhere():

@@ -88,7 +88,7 @@ def test_noisy_body_checks_every_candidate_against_every_facet():
     v = next(v for v in full.vertices if not v.is_zero() and h.evaluate(v) == 0)
     facets = list(full.facets)
     facets[k] = Halfspace(h.normal - v * F(1, 100), 0)
-    with pytest.raises(SelfCheckError, match="misplaces input point"):
+    with pytest.raises(SelfCheckError, match=r"^facet \(.*\) misplaces input point QVec\("):
         noisy_effects(Polytope._raw(full.vertices, tuple(facets)), states.unit, F(1, 2))
 
 

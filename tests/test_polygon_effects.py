@@ -96,11 +96,12 @@ def test_degenerate_polygon_raises_unbounded(dd_calls, pts):
 def test_corrupted_mask_raises(monkeypatch):
     real = systems._check_incidence
 
-    def flipped(rays, lin, rows, names):
+    def flipped(rays, lin, rows, *names):
         (g, mask), *rest = rays
-        real([(g, mask ^ 1 << 3)] + rest, lin, rows, names)
+        real([(g, mask ^ 1 << 3)] + rest, lin, rows, *names)
 
     monkeypatch.setattr(systems, "_check_incidence", flipped)
-    with pytest.raises(SelfCheckError, match="misplaces input point"):
+    with pytest.raises(SelfCheckError,
+                       match=r"^homogeneous vertex \(.*\) is misplaced against Halfspace\("):
         unrestricted_effects(StateSpace(disc_polygon_states(5)))
 

@@ -13,8 +13,10 @@ def test_scale_prints_times_and_passes_per_step():
     assert done.returncode == 0, done.stderr
     header, *rows = [line.split("\t") for line in done.stdout.splitlines()]
     assert header == ["n", "discretize_s", "discretize_dd", "classify_s", "classify_dd",
-                      "admits_gtt_s", "admits_gtt_dd"]
+                      "admits_gtt_s", "admits_gtt_dd", "peak_rss_mb"]
     assert [row[0] for row in rows] == ["8", "9"]
+    # the peak resident set size never falls
+    assert 0 < float(rows[0][-1]) <= float(rows[1][-1])
     for row in rows:
         assert all(float(x) >= 0 for x in row[1::2])
         # E(S) in closed form, none to classify, one for W(E) in admits_gtt
@@ -28,7 +30,7 @@ def test_scale_prints_a_row_per_random_seed():
     assert done.returncode == 0, done.stderr
     header, *rows = [line.split("\t") for line in done.stdout.splitlines()]
     assert header == ["seed", "generate_s", "generate_dd", "classify_s", "classify_dd",
-                      "admits_gtt_s", "admits_gtt_dd"]
+                      "admits_gtt_s", "admits_gtt_dd", "peak_rss_mb"]
     assert [row[0] for row in rows] == ["1", "2"]
     for row in rows:
         assert all(float(x) >= 0 for x in row[1::2])

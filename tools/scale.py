@@ -6,14 +6,17 @@
 A disc family builds ``discretize(family, n)`` for each n; ``random`` builds
 ``random_system(Random(s), dim, restrict=True)`` for each seed s.  Each
 system is built in a fresh run of the three steps, and each prints one row:
-the wall-clock seconds of each step and the number of double-description
-passes (``geometry._dd`` calls) each made.  Run it from the repository root;
+the wall-clock seconds of each step, the number of double-description
+passes (``geometry._dd`` calls) each made, and the process's peak resident
+set size so far (``ru_maxrss``, in MB; it never falls, so on a row after
+the first it is the largest of that row and the ones before).  Run it from the repository root;
 it imports ``gptgeom`` from ``src/``.
 """
 from __future__ import annotations
 
 import argparse
 import random
+import resource
 import sys
 import time
 from pathlib import Path
@@ -59,7 +62,7 @@ def main(argv=None) -> int:
         return real(normals, dim)
 
     geometry._dd = counted
-    print(f"{key}\t" + "\t".join(f"{s}_s\t{s}_dd" for s in steps))
+    print(f"{key}\t" + "\t".join(f"{s}_s\t{s}_dd" for s in steps) + "\tpeak_rss_mb")
     for k in keys:
         row, system = [], None
         for step in steps:
@@ -70,7 +73,8 @@ def main(argv=None) -> int:
             else:
                 (classify if step == "classify" else admits_gtt)(system)
             row.append(f"{time.perf_counter() - start:.3f}\t{passes[-1]}")
-        print(f"{k}\t" + "\t".join(row), flush=True)
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+        print(f"{k}\t" + "\t".join(row) + f"\t{peak:.1f}", flush=True)
     return 0
 
 
