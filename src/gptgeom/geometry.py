@@ -416,7 +416,7 @@ def hull_reduce(points: Iterable[Sequence]) -> Polytope:
     dim = len(next(iter(first))) - 1
     if any(len(r) != dim + 1 for r in first):
         raise DimensionMismatchError("hull input of mixed dimension")
-    return _hull(first, dim, first)
+    return _hull(first, dim)
 
 
 def _lifted(v: QVec) -> IntVec:
@@ -425,16 +425,17 @@ def _lifted(v: QVec) -> IntVec:
     return (*x, s)
 
 
-def _vertex_order(rows: Iterable[IntVec], points: dict[IntVec, QVec] | None = None
-                  ) -> list[tuple[IntVec, QVec]]:
-    """Each row (x, s), s > 0, with its point x / s (``points[row]`` or a new
-    QVec), sorted by point.  A coordinate keys as x 2^64 // s, then its Fraction,
-    so ints decide nearly every comparison and the order is exact.  (An lcm key
-    grows with the body: 5291 bits for E(S) of the 1024-gon.)"""
+def _vertex_order(points: dict[IntVec, QVec | None]) -> list[tuple[IntVec, QVec]]:
+    """Each row (x, s), s > 0, of ``points`` with its point x / s (the QVec it
+    maps to, or a new one where it maps to None), sorted by point.  A
+    coordinate keys as x 2^64 // s, then its Fraction, so ints decide nearly
+    every comparison and the order is exact.  (An lcm key grows with the body:
+    5291 bits for E(S) of the 1024-gon.)"""
     keyed = []
-    for r in rows:
+    for r, v in points.items():
         s = r[-1]
-        v = points[r] if points is not None else QVec._raw([Fraction(x, s) for x in r[:-1]])
+        if v is None:
+            v = QVec._raw([Fraction(x, s) for x in r[:-1]])
         keyed.append(([k for x, c in zip(r, v) for k in ((x << 64) // s, c)], r, v))
     keyed.sort(key=itemgetter(0))
     return [(r, v) for _, r, v in keyed]
@@ -529,11 +530,10 @@ def _check_incidence(rays: list[tuple[IntVec, int]], lin: list[IntVec],
         raise SelfCheckError("the packed incidence check and the product loop disagree")
 
 
-def _hull(rows: Iterable[IntVec], dim: int, points: dict[IntVec, QVec] | None = None
-          ) -> Polytope:
+def _hull(points: dict[IntVec, QVec], dim: int) -> Polytope:
     """One DD pass over the distinct primitive lifted points (x, s), s > 0,
-    sorted by their points x / s (:func:`_vertex_order`, which keeps the
-    caller's ``points``), handed to :func:`_dd` largest common denominator
+    the keys of ``points``, sorted by their points x / s
+    (:func:`_vertex_order`), handed to :func:`_dd` largest common denominator
     s first, and in sorted order among equal denominators.
 
     On the cut bodies of the restrict benchmark and the random generator,
@@ -554,7 +554,7 @@ def _hull(rows: Iterable[IntVec], dim: int, points: dict[IntVec, QVec] | None = 
     every lifted point, in the order :func:`_dd` saw them, before the masks
     are read.
     """
-    ordered = _vertex_order(rows, points)
+    ordered = _vertex_order(points)
     # largest common denominator first; the sort is stable
     order = sorted(range(len(ordered)), key=lambda i: -ordered[i][0][-1])
     rows, pts = [ordered[i][0] for i in order], [ordered[i][1] for i in order]
@@ -573,8 +573,7 @@ def _hull(rows: Iterable[IntVec], dim: int, points: dict[IntVec, QVec] | None = 
 def vrep_to_hrep(p: Polytope) -> list[Halfspace]:
     """Facet description of a polytope (equality pairs when degenerate),
     derived from its vertices."""
-    points = {_lifted(v): v for v in p.vertices}
-    return list(_hull(points, p.dim, points).facets)
+    return list(_hull({_lifted(v): v for v in p.vertices}, p.dim).facets)
 
 
 def hrep_to_vrep(halfspaces: Sequence[Halfspace]) -> Polytope:
@@ -625,7 +624,7 @@ def hrep_to_vrep(halfspaces: Sequence[Halfspace]) -> Polytope:
     if recession or lin:
         raise UnboundedError("halfspace intersection is unbounded")
     kept = sorted(first[rows[k]] for k in _irredundant(vertices.values(), len(rows)))
-    return Polytope._raw(tuple(v for _, v in _vertex_order(vertices)),
+    return Polytope._raw(tuple(v for _, v in _vertex_order(dict.fromkeys(vertices))),
                          tuple(halfspaces[i] for i in kept) or None)
 
 

@@ -20,7 +20,6 @@ from .geometry import (
     UnboundedError,
     _bits,
     _check_incidence,
-    _hull,
     _idot,
     _iprim,
     _irredundant,
@@ -28,6 +27,7 @@ from .geometry import (
     _packed_signs,
     _vertex_order,
     hrep_to_vrep,
+    hull_reduce,
     set_equal,
 )
 from .linalg import (
@@ -371,7 +371,7 @@ def _polygon_effects(states: StateSpace, hs: list[Halfspace]) -> Polytope:
                         low << 1 | high >> 1)  # u - e
     _check_incidence(list(rays.items()), [], [h.inormal + (-h.ioffset,) for h in hs], hs,
                      "homogeneous vertex {g} is misplaced against {name}")
-    return Polytope._raw(tuple(v for _, v in _vertex_order(rays)), tuple(hs))
+    return Polytope._raw(tuple(v for _, v in _vertex_order(dict.fromkeys(rays))), tuple(hs))
 
 
 def noisy_effects(full: Polytope, unit: QVec, p: Fraction) -> Polytope:
@@ -427,7 +427,7 @@ def noisy_effects(full: Polytope, unit: QVec, p: Fraction) -> Polytope:
         if any(x):
             copies.setdefault(_iprim((*(pn * su * a + (pd - pn) * s * b for a, b in zip(x, iu)),
                                       pd * s * su)), []).append(n + c)
-    ordered = _vertex_order(copies)
+    ordered = _vertex_order(dict.fromkeys(copies))
     bit = [0] * (2 * n)  # bit[c]: copy c's bit over the distinct candidates
     for i, (r, _) in enumerate(ordered):
         for c in copies[r]:
@@ -468,9 +468,9 @@ def states_from_effects(effects: EffectSpace) -> Polytope:
         raise EmptyIntersectionError("recovered state body is empty: 0 is interior to E")
     if any(w <= 0 for w in weights):
         raise UnboundedError("recovered state body is unbounded: effect space fails to span")
-    # a / (u.a) is the row (su a, iu.a); a repeated normal is one point
-    return _hull({_iprim((*(su * x for x in a), w)) for a, w in zip(normals, weights)},
-                 effects.dim)
+    # a / (u.a) = su a / (iu.a), no Fraction division
+    return hull_reduce([QVec._raw([Fraction(su * x, w) for x in a])
+                        for a, w in zip(normals, weights)])
 
 
 class GptClass(enum.Enum):

@@ -36,18 +36,21 @@ def _rows_and_points(draw):
 @given(_rows_and_points())
 def test_vertex_order_is_the_fraction_sort(case):
     rows, pts = case
-    ordered = geometry._vertex_order(rows)
+    # every other row maps to a given QVec, which is handed back as it is
+    given = {r: QVec(p) if i % 2 else None for i, (r, p) in enumerate(zip(rows, pts))}
+    ordered = geometry._vertex_order(given)
     assert [v for _, v in ordered] == sorted(pts)
     for r, v in ordered:
         assert type(v) is QVec and all(type(c) is Fraction for c in v)
         assert v == tuple(F(x, r[-1]) for x in r[:-1])
+        assert given[r] is None or v is given[r]
 
 
 def test_vertex_order_breaks_floor_ties_exactly():
     tiny = 2 ** 70
     pts = [(F(-1, tiny),), (F(0),), (F(1, tiny),), (F(2, tiny),), (F(-2, tiny),)]
     rows = [tuple(as_integers(p)[0]) + (as_integers(p)[1],) for p in pts]
-    assert [v for _, v in geometry._vertex_order(rows)] == sorted(pts)
+    assert [v for _, v in geometry._vertex_order(dict.fromkeys(rows))] == sorted(pts)
 
 
 def test_hull_reduce_dedupes_ints_fractions_and_strings():

@@ -332,6 +332,9 @@ def _first_misplaced(rays, lin, rows):
     return None
 
 
+# a row threshold that makes every input take the packed pass, and one that makes none
+BOTH_PATHS = (0, 10 ** 9)
+
 BIG = 2 ** 300
 entries = st.one_of(st.integers(-BIG, BIG), st.sampled_from([0, 1, -1, BIG, -BIG, BIG - 1]))
 
@@ -371,21 +374,24 @@ def test_packed_incidence_check_matches_the_product_loop(case):
     rays, lin, rows = case
     names = [f"p{i}" for i in range(len(rows))]
     expected = _first_misplaced(rays, lin, rows)
-    if expected is None:
-        geometry._check_incidence(rays, lin, rows, names)
-        return
-    with pytest.raises(SelfCheckError) as err:
-        geometry._check_incidence(rays, lin, rows, names)
-    if expected == "lin":
-        assert str(err.value) == "an affine-hull equation fails on an input point"
-    else:
-        g, i = expected
-        assert str(err.value) == f"facet {g} misplaces input point p{i}"
+    for threshold in BOTH_PATHS:
+        with mock.patch.object(geometry, "_PACKED_ROWS", threshold):
+            if expected is None:
+                geometry._check_incidence(rays, lin, rows, names)
+                continue
+            with pytest.raises(SelfCheckError) as err:
+                geometry._check_incidence(rays, lin, rows, names)
+        if expected == "lin":
+            assert str(err.value) == "an affine-hull equation fails on an input point"
+        else:
+            g, i = expected
+            assert str(err.value) == f"facet {g} misplaces input point p{i}"
 
 
 def test_packed_incidence_check_at_the_width_bound():
     # products of size D R G, the bound the field width is chosen for, each
-    # way round, for every row length and entry sizes across byte edges
+    # way round, for every row length and entry sizes across byte edges, on
+    # the packed pass and on the plain loop
     for dim in range(1, 9):
         for bits in range(1, 40, 3):
             r, g = 2 ** bits - 1, 2 ** (bits + 5) - 1
@@ -395,11 +401,13 @@ def test_packed_incidence_check_at_the_width_bound():
                     mask = sum(1 << i for i, row in enumerate(rows)
                                if geometry._idot(ray, row) == 0)
                     case = ([(ray, mask)], [], rows)
-                    if _first_misplaced(*case) is None:
-                        geometry._check_incidence(*case, rows)
-                    else:
-                        with pytest.raises(SelfCheckError):
-                            geometry._check_incidence(*case, rows)
+                    for threshold in BOTH_PATHS:
+                        with mock.patch.object(geometry, "_PACKED_ROWS", threshold):
+                            if _first_misplaced(*case) is None:
+                                geometry._check_incidence(*case, rows)
+                            else:
+                                with pytest.raises(SelfCheckError):
+                                    geometry._check_incidence(*case, rows)
 
 
 class _MembershipThatForgets:
@@ -797,10 +805,6 @@ def _classify_by_loop(sys):
         if any(geometry._idot(a, integerize(v)) < 0 for a in normals):
             return GptClass.NOT_ALMOST_NU, v
     return GptClass.NOISY_UNRESTRICTED, None
-
-
-# a row threshold that makes every input take the packed pass, and one that makes none
-BOTH_PATHS = (0, 10 ** 9)
 
 
 def _assert_classify_matches_the_loop(sys):
