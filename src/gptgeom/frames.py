@@ -92,8 +92,8 @@ def recover_state(samples: FrameSamples, sys: GptSystem) -> QVec:
     if sys.unit.dot(w) != 1:
         raise NotAStateError(f"recovered vector has unit weight {sys.unit.dot(w)} != 1", w)
     wi, _ = as_integers(w)
-    for e in sys.effects.polytope.vertices:
-        if sum(a * b for a, b in zip(as_integers(e)[0], wi)) < 0:
+    for e, (*x, _) in zip(sys.effects.polytope.vertices, sys.effects.polytope.rows):
+        if sum(a * b for a, b in zip(x, wi)) < 0:
             raise NotAStateError(f"recovered vector gives negative value on {e}", w)
     return w
 

@@ -231,8 +231,8 @@ def load(name: str) -> GalleryEntry:
     """Look up a gallery entry; parametrized names take a rational argument,
     e.g. 'noisy-bit(1/3)', and default to p = 1/2.  A parameter given to an
     entry that takes none is an unknown name."""
-    base, param = name, None
-    m = _PARAM_RE.match(name.strip())
+    base, param = name.strip(), None
+    m = _PARAM_RE.match(base)
     if m:
         base, param = m.group(1), parse_rational(m.group(2))
     if base not in _TABLE:

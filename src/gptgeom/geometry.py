@@ -39,10 +39,10 @@ from typing import Iterable, Iterator, Sequence
 from .linalg import (
     DimensionMismatchError,
     QVec,
+    _bareiss,
     as_fraction,
     as_integers,
     integerize,
-    rank,
     zero_vector,
 )
 
@@ -237,17 +237,19 @@ class Halfspace:
 
 class Polytope:
     """Bounded convex polytope held as an irredundant, sorted vertex tuple,
-    plus its facets once they are known.
+    the primitive integer row (x, s), s > 0, of each vertex x / s in
+    ``rows`` (vertex order), plus its facets once they are known.
 
-    Which constructor keeps which representation:
+    Which constructor keeps which representation (each keeps the rows):
 
     - ``Polytope(points)`` and :func:`hull_reduce` derive vertices and
       facets in one DD pass and keep both.
     - :func:`hrep_to_vrep` keeps the irredundant input halfspaces as the
       facets when the body is full-dimensional; for a lower-dimensional
       body the facets are derived from the vertices on first use.
-    - ``Polytope._raw(vertices, facets)`` keeps what it is given; missing
-      facets are derived from the vertices on first use.
+    - ``Polytope._raw(vertices, facets, rows)`` keeps what it is given;
+      missing rows are scaled from the vertices at once, missing facets
+      are derived from the vertices on first use.
 
     Facets are never derived twice; values are immutable afterwards, so
     instances are safe to share across threads.  The same holds for the
@@ -256,17 +258,19 @@ class Polytope:
     memo each compute and store an equal value, and either may win.
     """
 
-    __slots__ = ("vertices", "_facets")
+    __slots__ = ("vertices", "rows", "_facets")
 
     def __init__(self, points: Iterable[Sequence]):
         reduced = hull_reduce(points)
         self.vertices = reduced.vertices
+        self.rows = reduced.rows
         self._facets = reduced._facets
 
     @classmethod
-    def _raw(cls, vertices: tuple[QVec, ...], facets=None) -> "Polytope":
+    def _raw(cls, vertices: tuple[QVec, ...], facets=None, rows=None) -> "Polytope":
         p = object.__new__(cls)
         p.vertices = vertices
+        p.rows = tuple(map(_lifted, vertices)) if rows is None else rows
         p._facets = facets
         return p
 
@@ -293,10 +297,8 @@ class Polytope:
         return sum(self.vertices[1:], self.vertices[0]) * Fraction(1, len(self.vertices))
 
     def affine_dim(self) -> int:
-        v0 = self.vertices[0]
-        if len(self.vertices) == 1:
-            return 0
-        return rank([v - v0 for v in self.vertices[1:]])
+        # the rows (x, s), s > 0, span a space one larger than the affine hull
+        return len(_bareiss(list(self.rows), self.dim + 1)[0]) - 1
 
     def __eq__(self, other):
         if not isinstance(other, Polytope):
@@ -467,8 +469,17 @@ def _packed_products(rows: Sequence[IntVec], vectors: Sequence[IntVec]
     return size, top, (sum(map(mul, g, packed)) + top for g in vectors)
 
 
+# Below this many rows a plain product loop beats a packed pass, in the sign
+# passes and in the incidence proof; they tie near 6 to 8 rows
+_PACKED_ROWS = 8
+
+
 def _packed_signs(rows: Sequence[IntVec], vectors: Sequence[IntVec]) -> Iterator[bool]:
-    """For each vector g, whether g.row >= 0 on every row (:func:`_packed_products`)."""
+    """For each vector g, whether g.row >= 0 on every row: packed
+    (:func:`_packed_products`) from ``_PACKED_ROWS`` rows on, a plain
+    product loop below."""
+    if len(rows) < _PACKED_ROWS:
+        return (all(_idot(g, row) >= 0 for row in rows) for g in vectors)
     _, top, products = _packed_products(rows, vectors)
     return (biased & top == top for biased in products)
 
@@ -495,11 +506,6 @@ def _packed_incidence(rows: Sequence[IntVec], vectors: Sequence[IntVec]
         nonzero = ((biased ^ top) + low) & top
         yield (biased & top == top,
                int(nonzero.to_bytes(n * size, "big")[::size].translate(_ZERO_DIGIT), 2))
-
-
-# Below this many rows a plain product loop beats a packed pass, in the incidence
-# proof and in the system layer's sign-only passes; they tie near 6 to 8 rows
-_PACKED_ROWS = 8
 
 
 def _check_incidence(rays: list[tuple[IntVec, int]], lin: list[IntVec],
@@ -561,19 +567,19 @@ def _hull(points: dict[IntVec, QVec], dim: int) -> Polytope:
     rays, lin = _dd(rows, dim + 1)
     _check_incidence(rays, lin, rows, pts)
     facet_rays = [(g, mask) for g, mask in rays if mask and any(g[:dim])]
-    kept = _irredundant((m for _, m in facet_rays), len(pts))
-    vertices = tuple(pts[k] for k in sorted(kept, key=order.__getitem__))
+    kept = sorted(_irredundant((m for _, m in facet_rays), len(pts)), key=order.__getitem__)
     facets = [Halfspace._from_ints(g[:dim], -g[dim]) for g, _ in facet_rays]
     for l in lin:
         facets.append(Halfspace._from_ints(l[:dim], -l[dim]))
         facets.append(Halfspace._from_ints(tuple(-x for x in l[:dim]), l[dim]))
-    return Polytope._raw(vertices, tuple(facets))
+    return Polytope._raw(tuple(pts[k] for k in kept), tuple(facets),
+                         tuple(rows[k] for k in kept))
 
 
 def vrep_to_hrep(p: Polytope) -> list[Halfspace]:
     """Facet description of a polytope (equality pairs when degenerate),
     derived from its vertices."""
-    return list(_hull({_lifted(v): v for v in p.vertices}, p.dim).facets)
+    return list(_hull(dict(zip(p.rows, p.vertices)), p.dim).facets)
 
 
 def hrep_to_vrep(halfspaces: Sequence[Halfspace]) -> Polytope:
@@ -624,8 +630,8 @@ def hrep_to_vrep(halfspaces: Sequence[Halfspace]) -> Polytope:
     if recession or lin:
         raise UnboundedError("halfspace intersection is unbounded")
     kept = sorted(first[rows[k]] for k in _irredundant(vertices.values(), len(rows)))
-    return Polytope._raw(tuple(v for _, v in _vertex_order(dict.fromkeys(vertices))),
-                         tuple(halfspaces[i] for i in kept) or None)
+    vrows, pts = zip(*_vertex_order(dict.fromkeys(vertices)))
+    return Polytope._raw(pts, tuple(halfspaces[i] for i in kept) or None, vrows)
 
 
 def positive_cone(p: Polytope) -> Cone:

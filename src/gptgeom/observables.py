@@ -64,10 +64,7 @@ def is_observable(outcomes: Sequence[Sequence], sys: GptSystem) -> bool:
     the negative a.e_j, or min_j a.e_j when none is negative.
     """
     effects = [QVec(e) for e in outcomes]
-    total = effects[0]
-    for e in effects[1:]:
-        total = total + e
-    if total != sys.unit:
+    if not effects or sum(effects[1:], effects[0]) != sys.unit:  # () sums to 0, not u
         return False
     dim = sys.dim
     flat, s = as_integers([c for e in effects for c in e])

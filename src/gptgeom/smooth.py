@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from .geometry import Polytope, SelfCheckError, hull_reduce
+from .geometry import Polytope, SelfCheckError, _iprim, _vertex_order, hull_reduce
 from .linalg import DimensionMismatchError, QVec, as_fraction, qvec
 from .systems import (
     Classification,
@@ -208,15 +208,22 @@ def circle_point(j: int, m: int) -> tuple[Fraction, Fraction]:
     circle within 2**-15 of the ideal vertex.  The result depends only on
     the reduced fraction j/m, so refining a polygon keeps shared vertices.
     """
+    a, b, c, _ = _circle_row(j, m)
+    return Fraction(a, c), Fraction(b, c)
+
+
+def _circle_row(j: int, m: int) -> tuple[int, ...]:
+    """The primitive row (a, b, c, c) of the state (a / c, b / c, 1) at
+    :func:`circle_point` (j, m); t = N / D gives (D^2 - N^2, 2ND, D^2 + N^2)."""
     g = math.gcd(j % m, m)
     j, m = (j % m) // g, m // g
     if j == 0:
-        return Fraction(1), Fraction(0)
+        return 1, 0, 1, 1
     if 2 * j == m:
-        return Fraction(-1), Fraction(0)
-    t = Fraction(round(math.tan(math.pi * j / m) * (1 << _ANGLE_BITS)), 1 << _ANGLE_BITS)
-    den = 1 + t * t
-    return (1 - t * t) / den, 2 * t / den
+        return -1, 0, 1, 1
+    n, d = round(math.tan(math.pi * j / m) * (1 << _ANGLE_BITS)), 1 << _ANGLE_BITS
+    c = d * d + n * n
+    return _iprim((d * d - n * n, 2 * n * d, c, c))
 
 
 def polygon_vertex_error(n: int) -> Fraction:
@@ -230,15 +237,16 @@ def disc_polygon_states(n: int) -> Polytope:
     circle; doubling n refines the polygon without moving old vertices.
     Distinct points of a circle are in convex position, so all are vertices:
     no hull pass, and the facets are derived only when read.  Both premises
-    are checked exactly."""
+    are checked exactly, on the points' integer rows (a, b, c, c)."""
     if n < 3:
         raise ValueError("a polygon needs at least 3 vertices")
-    pts = sorted({qvec(*circle_point(k, n), 1) for k in range(n)})
-    if len(pts) != n:
+    rows = dict.fromkeys(_circle_row(k, n) for k in range(n))
+    if len(rows) != n:
         raise SelfCheckError(f"canonical circle points of the {n}-gon coincide")
-    if any(x * x + y * y != 1 for x, y, _ in pts):
+    if any(a * a + b * b != c * c for a, b, c, _ in rows):
         raise SelfCheckError(f"a canonical point of the {n}-gon is off the circle")
-    return Polytope._raw(tuple(pts))
+    vrows, pts = zip(*_vertex_order(rows))
+    return Polytope._raw(pts, rows=vrows)
 
 
 @dataclass(frozen=True)

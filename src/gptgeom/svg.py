@@ -13,7 +13,7 @@ from operator import mul
 from .geometry import (
     EmptyIntersectionError, Halfspace, Polytope, dual_cone, hrep_to_vrep, positive_cone,
 )
-from .linalg import QVec, as_integers
+from .linalg import QVec
 from .systems import GptSystem
 
 _PANEL = 260
@@ -62,17 +62,16 @@ def slice_polytope(p: Polytope, value: Fraction) -> Polytope | None:
         return None
 
 
-def polytope_edges(vertices: list[QVec], facets: list[Halfspace]) -> list[tuple[int, int]]:
-    """Vertex index pairs forming edges: a pair is an edge iff some facet is
-    tight on both and no third vertex is tight on every facet they share."""
-    masks = []
-    for v in vertices:
-        xi, s = as_integers(v)
-        masks.append(sum(1 << k for k, h in enumerate(facets)
-                         if sum(map(mul, h.inormal, xi)) == h.ioffset * s))
+def polytope_edges(p: Polytope) -> list[tuple[int, int]]:
+    """Index pairs of p's vertices forming edges, read on p.rows: a pair is an
+    edge iff some facet is tight on both and no third vertex is tight on every
+    facet they share."""
+    masks = [sum(1 << k for k, h in enumerate(p.facets)
+                 if sum(map(mul, h.inormal, r[:-1])) == h.ioffset * r[-1])
+             for r in p.rows]
     edges = []
-    for i in range(len(vertices)):
-        for j in range(i + 1, len(vertices)):
+    for i in range(len(masks)):
+        for j in range(i + 1, len(masks)):
             common = masks[i] & masks[j]
             if common and not any(m & common == common for k, m in enumerate(masks)
                                   if k != i and k != j):
@@ -100,11 +99,11 @@ def _polygon_svg(points_px, fill, stroke, label, lx, ly):
     return shape + f'<text x="{lx}" y="{ly}" font-size="12">{label}</text>'
 
 
-def _wireframe_svg(vertices, facets, panel_origin, label):
-    proj = [_iso(v) for v in vertices]
+def _wireframe_svg(body: Polytope, panel_origin, label):
+    proj = [_iso(v) for v in body.vertices]
     to_px = _fit(proj, panel_origin)
     px = [to_px(p) for p in proj]
-    edges = polytope_edges(list(vertices), list(facets))
+    edges = polytope_edges(body)
     parts = []
     for i, j in edges:
         (x1, y1), (x2, y2) = px[i], px[j]
@@ -180,12 +179,10 @@ def render_system(sys: GptSystem, slice_at: Fraction = Fraction(1, 2),
         parts.append(_annotate(cut, to_px2, float_view))
     else:
         states3 = [QVec(v[:-1]) for v in sys.states.polytope.vertices]
-        st_body = Polytope(states3)
-        parts.append(_wireframe_svg(st_body.vertices, st_body.facets, (0, 0),
-                                    "states (unit slice)"))
+        parts.append(_wireframe_svg(Polytope(states3), (0, 0), "states (unit slice)"))
         cut = slice_polytope(sys.effects.polytope, slice_at)
         label = f"effects @ last={slice_at}"
-        parts.append(_wireframe_svg(cut.vertices, cut.facets, (_PANEL, 0), label) if cut else
+        parts.append(_wireframe_svg(cut, (_PANEL, 0), label) if cut else
                      f'<text x="{_PANEL + _PAD}" y="18" font-size="12">{label} (empty)</text>')
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{_PANEL}" '

@@ -4,15 +4,13 @@ and the classification that decides whether frame functions pin down states.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from operator import and_, mul, or_
+from operator import and_, or_
 from typing import Optional, Sequence
 
 from .geometry import (
-    _PACKED_ROWS,
     EmptyIntersectionError,
     Halfspace,
     Polytope,
@@ -31,6 +29,7 @@ from .geometry import (
     set_equal,
 )
 from .linalg import (
+    DimensionMismatchError,
     QVec,
     SingularMatrixError,
     _bareiss,
@@ -134,7 +133,12 @@ class EffectSpace:
 
 
 def _state_axioms(polytope: Polytope, unit: QVec) -> list[Violation]:
-    bad = next((w for w in polytope.vertices if unit.dot(w) != 1), None)
+    # u.w = 1 on integers: with u = iu / t and w = x / s, iu.x == t s
+    if len(unit) != polytope.dim:
+        raise DimensionMismatchError("unit and states live in different spaces")
+    iu, t = as_integers(unit)
+    bad = next((w for w, (*x, s) in zip(polytope.vertices, polytope.rows)
+                if _idot(iu, x) != t * s), None)
     if bad is None:
         return []
     return [Violation("StateNormalizationViolated",
@@ -142,53 +146,46 @@ def _state_axioms(polytope: Polytope, unit: QVec) -> list[Violation]:
 
 
 def _effect_axioms(polytope: Polytope, unit: QVec) -> list[Violation]:
-    """The effect axioms, decided on integers.  Each vertex is scaled once
-    to x / s (``as_integers``: gcd(x, s) = 1, s > 0, so (x, s) is a key of
-    the rational vector); with u = U / t, the key of u - x / s is
-    (s U - t x, s t) divided by its gcd.  The rank is one Bareiss
-    elimination of the scaled rows."""
+    """The effect axioms, decided on the vertices' primitive rows (x, s),
+    each the one key of its vertex x / s: with u = U / t, the row of
+    u - x / s is (s U - t x, s t) divided by its gcd.  The rank is one
+    Bareiss elimination of the rows' x parts."""
     out = []
     zero = zero_vector(polytope.dim)
-    scaled = [as_integers(e) for e in polytope.vertices]
     if not polytope.contains(zero) or not polytope.contains(unit):
         out.append(Violation("MissingZeroOrUnit",
                              "effect space must contain the zero and unit effects"))
     else:
         # vertices are irredundant, so P = u - P iff vert(P) = u - vert(P)
         iu, t = as_integers(unit)
-        keys = {(tuple(x), s) for x, s in scaled}
-        missing = next((e for e, (x, s) in zip(polytope.vertices, scaled)
-                        if _complement_key(iu, t, x, s) not in keys), None)
+        keys = set(polytope.rows)
+        missing = next((e for e, r in zip(polytope.vertices, polytope.rows)
+                        if _complement_key(iu, t, r) not in keys), None)
         if missing is not None:
             out.append(Violation("NotComplementClosed",
                                  f"complement of {missing} missing"))
-    if len(_bareiss([x for x, _ in scaled], polytope.dim)[0]) < polytope.dim:
+    if len(_bareiss([r[:-1] for r in polytope.rows], polytope.dim)[0]) < polytope.dim:
         out.append(Violation("DoesNotSpan",
                              "effects do not span the ambient space"))
     return out
 
 
-def _complement_key(iu: list[int], t: int, x: list[int], s: int) -> tuple[tuple[int, ...], int]:
-    """The (numerators, denominator) key of U / t - x / s in lowest terms."""
-    num = [s * a - t * b for a, b in zip(iu, x)]
-    den = s * t
-    g = math.gcd(den, *num)
-    return tuple(c // g for c in num), den // g
+def _complement_key(iu: list[int], t: int, r: tuple[int, ...]) -> tuple[int, ...]:
+    """The primitive row of U / t - x / s, for the primitive row r = (x, s)."""
+    *x, s = r
+    return _iprim((*(s * a - t * b for a, b in zip(iu, x)), s * t))
 
 
 def _range_axiom(states: Polytope, effects: Polytope) -> list[Violation]:
-    # 0 <= e.w <= 1 on every pair, on integers (e = ie / se, w = iw / sw): with many
-    # states one packed pass of the rows (ie, 0), (-ie, se) against each (iw, sw);
-    # with few, or on a failure, the loop, which names the pair
-    scaled_states = [as_integers(w) for w in states.vertices]
-    scaled_effects = [as_integers(e) for e in effects.vertices]
-    if len(scaled_states) >= _PACKED_ROWS and all(_packed_signs(
-            [r for ie, se in scaled_effects for r in (ie + [0], [-x for x in ie] + [se])],
-            [tuple(iw) + (sw,) for iw, sw in scaled_states])):
+    # 0 <= e.w <= 1 on every pair, on the rows (ie, se) of e and (iw, sw) of w:
+    # one sign pass of the rows (ie, 0), (-ie, se) against each (iw, sw), then,
+    # on a failure, the loop, which names the pair
+    rows = [r for *ie, se in effects.rows for r in ((*ie, 0), (*(-x for x in ie), se))]
+    if all(_packed_signs(rows, states.rows)):
         return []
-    for e, (ie, se) in zip(effects.vertices, scaled_effects):
-        for w, (iw, sw) in zip(states.vertices, scaled_states):
-            p = sum(map(mul, ie, iw))
+    for e, (*ie, se) in zip(effects.vertices, effects.rows):
+        for w, (*iw, sw) in zip(states.vertices, states.rows):
+            p = _idot(ie, iw)
             if p < 0 or p > se * sw:
                 return [Violation("EffectOutOfRange",
                                   f"effect {e} gives probability {e.dot(w)} on state {w}")]
@@ -293,11 +290,10 @@ def validate_system(states: StateSpace | Polytope, effects: Polytope, name: str 
 def effect_constraints(states: StateSpace) -> list[Halfspace]:
     """H-description of all mathematically valid effects for S: for every
     extremal state w, 0 <= e.w <= 1.  Useful directly when the effect body
-    is unbounded (states not affinely spanning).  With w = x / s scaled
-    once to integers, the primitive rows are (x / gcd(x), 0) and (-x, -s)."""
+    is unbounded (states not affinely spanning).  With (x, s) the row of
+    w = x / s, the primitive rows are (x / gcd(x), 0) and (-x, -s)."""
     hs = []
-    for w in states.polytope.vertices:
-        x, s = as_integers(w)
+    for *x, s in states.polytope.rows:
         hs.append(Halfspace._from_ints(_iprim(tuple(x)), 0))
         hs.append(Halfspace._from_ints(tuple(-v for v in x), -s))
     return hs
@@ -337,12 +333,12 @@ def _polygon_effects(states: StateSpace, hs: list[Halfspace]) -> Polytope:
     A monotone chain orders the sorted vertices: the first, those on one side
     of the line first-last, the last, the others in reverse.  Rotating calipers
     find each edge's maximizers w, comparing c.w = c.x su / (iu.x) by cross-
-    multiplying (x = w's primitive form, u = iu / su).  Each vertex's mask over
+    multiplying (x = w's row without s, u = iu / su).  Each vertex's mask over
     ``hs`` (row 2k: e.w_k >= 0, 2k + 1: e.w_k <= 1) is proved against every row."""
     def cross(a, b):
         return a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]
 
-    pts = [integerize(w) for w in states.polytope.vertices]
+    pts = [r[:-1] for r in states.polytope.rows]
     n = len(pts)
     side = [_idot(cross(pts[0], pts[-1]), x) for x in pts[1:-1]]
     if n < 3 or not all(side):
@@ -371,7 +367,8 @@ def _polygon_effects(states: StateSpace, hs: list[Halfspace]) -> Polytope:
                         low << 1 | high >> 1)  # u - e
     _check_incidence(list(rays.items()), [], [h.inormal + (-h.ioffset,) for h in hs], hs,
                      "homogeneous vertex {g} is misplaced against {name}")
-    return Polytope._raw(tuple(v for _, v in _vertex_order(dict.fromkeys(rays))), tuple(hs))
+    vrows, vertices = zip(*_vertex_order(dict.fromkeys(rays)))
+    return Polytope._raw(vertices, tuple(hs), vrows)
 
 
 def noisy_effects(full: Polytope, unit: QVec, p: Fraction) -> Polytope:
@@ -398,9 +395,7 @@ def noisy_effects(full: Polytope, unit: QVec, p: Fraction) -> Polytope:
     dim, n, pn, pd = len(unit), len(full.vertices), p.numerator, p.denominator
     iu, su = as_integers(unit)
     rows = [h.inormal + (-h.ioffset,) for h in full.facets]
-    scaled = [as_integers(v) for v in full.vertices]
-    vrows = [(*x, s) for x, s in scaled]
-    masks = [m for _, m in _packed_incidence(vrows, rows)]  # vertices on each facet
+    masks = [m for _, m in _packed_incidence(full.rows, rows)]  # vertices on each facet
     through = [0] * n  # facets through each vertex, the transpose of masks
     for f, m in enumerate(masks):
         for v in _bits(m):
@@ -421,22 +416,23 @@ def noisy_effects(full: Polytope, unit: QVec, p: Fraction) -> Polytope:
     # the candidates as integer rows: copy c < n is p.v = pn x / (pd s) (v != u),
     # copy n + c is p.v + t = (pn su x + (pd - pn) s iu) / (pd s su) (v != 0)
     copies: dict[tuple[int, ...], list[int]] = {}  # each distinct candidate: its copies
-    for c, (x, s) in enumerate(scaled):
+    for c, (*x, s) in enumerate(full.rows):
         if x != iu or s != su:
             copies.setdefault(_iprim((*(pn * a for a in x), pd * s)), []).append(c)
         if any(x):
             copies.setdefault(_iprim((*(pn * su * a + (pd - pn) * s * b for a, b in zip(x, iu)),
                                       pd * s * su)), []).append(n + c)
-    ordered = _vertex_order(dict.fromkeys(copies))
+    vrows, pts = zip(*_vertex_order(dict.fromkeys(copies)))
     bit = [0] * (2 * n)  # bit[c]: copy c's bit over the distinct candidates
-    for i, (r, _) in enumerate(ordered):
+    for i, r in enumerate(vrows):
         for c in copies[r]:
             bit[c] = 1 << i
-    pts = [v for _, v in ordered]
     rays = [(g, reduce(or_, map(bit.__getitem__, _bits(lo | hi << n)), 0)) for g, lo, hi in new]
-    _check_incidence(rays, [], [r for r, _ in ordered], pts)
-    return Polytope._raw(tuple(pts[i] for i in _irredundant((m for _, m in rays), len(pts))),
-                         tuple(Halfspace._from_ints(g[:-1], -g[-1]) for g, _ in rays))
+    _check_incidence(rays, [], vrows, pts)
+    kept = _irredundant((m for _, m in rays), len(pts))
+    return Polytope._raw(tuple(pts[i] for i in kept),
+                         tuple(Halfspace._from_ints(g[:-1], -g[-1]) for g, _ in rays),
+                         tuple(vrows[i] for i in kept))
 
 
 def _cone_normals(effects: EffectSpace) -> list[tuple[int, ...]]:
@@ -444,12 +440,6 @@ def _cone_normals(effects: EffectSpace) -> list[tuple[int, ...]]:
     the tangent cone of E at 0, is {x : a.x >= 0 for every a}, and the
     normals generate its dual.  Read off E's kept facets; no DD pass."""
     return [h.inormal for h in effects.polytope.facets if h.ioffset == 0]
-
-
-def _in_cone(x: QVec, normals: list[tuple[int, ...]]) -> bool:
-    """Whether x lies in the cone {y : a.y >= 0 for every normal a}."""
-    xi, _ = as_integers(x)
-    return all(sum(map(mul, a, xi)) >= 0 for a in normals)
 
 
 def states_from_effects(effects: EffectSpace) -> Polytope:
@@ -507,7 +497,7 @@ def classify(sys: GptSystem) -> Classification:
     At most one DD pass: for the vertices of E(S), unless S holds them or is
     a polygon.  Since E lies in E(S), the cones are equal iff every vertex of
     E(S) lies in cone(E), which E's facets through 0 describe exactly; the
-    first vertex outside is the witness (one packed pass with many facets).
+    first vertex outside is the witness (one sign pass, packed with many facets).
 
     The result is stored on the system, so a second call, or
     :func:`admits_gtt` afterwards, makes no pass and returns the same object.
@@ -521,12 +511,8 @@ def _classify(sys: GptSystem) -> Classification:
     es = unrestricted_effects(sys.states)
     if set_equal(sys.effects.polytope, es):
         return Classification(GptClass.UNRESTRICTED)
-    normals = _cone_normals(sys.effects)
-    if len(normals) < _PACKED_ROWS:
-        witness = next((v for v in es.vertices if not _in_cone(v, normals)), None)
-    else:
-        found = _packed_signs(normals, [integerize(v) for v in es.vertices])
-        witness = next((v for v, inside in zip(es.vertices, found) if not inside), None)
+    found = _packed_signs(_cone_normals(sys.effects), [r[:-1] for r in es.rows])
+    witness = next((v for v, inside in zip(es.vertices, found) if not inside), None)
     if witness is None:
         return Classification(GptClass.NOISY_UNRESTRICTED)
     return Classification(GptClass.NOT_ALMOST_NU, witness=witness)
@@ -630,6 +616,6 @@ def decompose_in_cone(c: QVec, effects: EffectSpace) -> tuple[QVec, QVec]:
     eps = min([Fraction(1)] + [e0.dot(n) / -c.dot(n) for n in normals if c.dot(n) < 0])
     a = (e0 + c * eps) * (1 / eps)
     b = e0 * (1 / eps)
-    if not (_in_cone(a, normals) and _in_cone(b, normals) and a - b == c):
+    if not (all(_packed_signs(normals, [integerize(a), integerize(b)])) and a - b == c):
         raise SelfCheckError(f"cone decomposition of {c} is not c = a - b in the cone")
     return a, b

@@ -59,6 +59,11 @@ def test_unknown_name():
         load("qubit")
 
 
+@pytest.mark.parametrize("name", [" bit ", "\tsquit\n", " noisy-bit(1/3) "])
+def test_surrounding_whitespace_is_ignored(name):
+    assert load(name).name == load(name.strip()).name
+
+
 @pytest.mark.parametrize("name", ["bit(7)", "squit(1/3)", "rebit-64(1/2)", "anu-bit(1)"])
 def test_parameter_on_an_entry_without_one_is_unknown(name):
     with pytest.raises(UnknownNameError):

@@ -51,6 +51,13 @@ def test_no_imports_inside_functions():
     assert nested == set()
 
 
+def test_only_geometry_chooses_between_packed_and_loop_passes():
+    # the packed/loop cut-over is the kernel's decision alone
+    users = [name for name, tree in MODULES.items()
+             if _references(ast.walk(tree))["_PACKED_ROWS"]]
+    assert users == ["geometry.py"]
+
+
 def _defined_names(node) -> list[str]:
     """The names a module-level statement binds: a def, a class, or the
     plain names among an assignment's targets."""

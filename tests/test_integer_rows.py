@@ -1,6 +1,7 @@
 """Integer rows inside, Fractions at the edge: the one exact sort of the
 kernel's results (``geometry._vertex_order``), the dedupe of hull inputs on
-integer rows, and the type of every coordinate the bodies hand out."""
+integer rows, the type of every coordinate the bodies hand out, and the
+primitive row each body keeps for each vertex."""
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -61,8 +62,11 @@ def test_hull_reduce_dedupes_ints_fractions_and_strings():
 
 
 def _assert_fraction_coordinates(body):
-    for v in body.vertices:
+    assert len(body.rows) == len(body.vertices)
+    for v, r in zip(body.vertices, body.rows):
         assert type(v) is QVec and all(type(c) is Fraction for c in v)
+        x, s = as_integers(v)  # the primitive row (x, s) of v, s > 0
+        assert r == (*x, s)
     for h in body.facets:
         assert all(type(c) is Fraction for c in h.normal) and type(h.offset) is Fraction
 

@@ -416,9 +416,10 @@ class _MembershipThatForgets:
     def __init__(self):
         self.asked = 0
 
-    def __call__(self, x, normals):
-        self.asked += 1
-        return self.asked == 1
+    def __call__(self, normals, points):
+        for _ in points:
+            self.asked += 1
+            yield self.asked == 1
 
 
 class _AnuBitWithACoveredRay(AnuBit):
@@ -429,13 +430,13 @@ class _AnuBitWithACoveredRay(AnuBit):
 def test_explicit_self_checks_raise(monkeypatch):
     sys = load("squit").gpt_system()
     with monkeypatch.context() as m:
-        m.setattr(systems, "_in_cone", _MembershipThatForgets())
+        m.setattr(systems, "_packed_signs", _MembershipThatForgets())
         with pytest.raises(SelfCheckError):
             decompose_in_cone(qvec(1, 0, 0), sys.effects)
     with pytest.raises(SelfCheckError):
         smooth.cone_nonclosure_certificate(_AnuBitWithACoveredRay(), F(1, 10))
     with monkeypatch.context() as m:
-        m.setattr(smooth, "circle_point", lambda j, n: (F(1), F(0)))
+        m.setattr(smooth, "_circle_row", lambda j, n: (1, 0, 1, 1))
         with pytest.raises(SelfCheckError):
             smooth.disc_polygon_states(8)
 
@@ -489,7 +490,7 @@ def test_hull_self_check_survives_optimized_mode():
         "if not fails(lambda: systems.unrestricted_effects(pentagon)):\n"
         "    sys.exit(8)\n"
         "systems._check_incidence = check\n"
-        "smooth.circle_point = lambda j, m: (F(1, 2 + j), F(0))\n"
+        "smooth._circle_row = lambda j, m: (1, 0, 2 + j, 2 + j)\n"
         "if not fails(lambda: smooth.disc_polygon_states(5)):\n"
         "    sys.exit(7)\n"
     )
@@ -810,7 +811,7 @@ def _classify_by_loop(sys):
 def _assert_classify_matches_the_loop(sys):
     expected = _classify_by_loop(sys)
     for rows in BOTH_PATHS:
-        with mock.patch.object(systems, "_PACKED_ROWS", rows):
+        with mock.patch.object(geometry, "_PACKED_ROWS", rows):
             c = systems._classify(sys)
         assert (c.tag, c.witness) == expected
 
@@ -854,7 +855,7 @@ def test_packed_range_axiom_matches_the_pair_loop(seed, dim, state_scale, effect
     effects = Polytope._raw(tuple(vertices))
     expected = _range_by_loop(scaled, effects)
     for rows in BOTH_PATHS:
-        with mock.patch.object(systems, "_PACKED_ROWS", rows):
+        with mock.patch.object(geometry, "_PACKED_ROWS", rows):
             assert systems._range_axiom(scaled, effects) == expected
 
 

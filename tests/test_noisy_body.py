@@ -103,10 +103,13 @@ def test_discretize_makes_one_pass(dd_calls, family):
 
 
 def test_polygon_points_must_lie_on_the_circle(monkeypatch):
-    on_circle = smooth.circle_point
-    # a distinct point inside the disc would be kept as a vertex it is not
-    monkeypatch.setattr(smooth, "circle_point",
-                        lambda j, m: tuple(x / 2 for x in on_circle(j, m)) if j == 1
-                        else on_circle(j, m))
+    on_circle = smooth._circle_row
+
+    def halved(j, m):
+        # a distinct point inside the disc would be kept as a vertex it is not
+        a, b, c, _ = on_circle(j, m)
+        return (a, b, 2 * c, 2 * c) if j == 1 else (a, b, c, c)
+
+    monkeypatch.setattr(smooth, "_circle_row", halved)
     with pytest.raises(SelfCheckError, match="off the circle"):
         disc_polygon_states(8)

@@ -52,6 +52,11 @@ def test_double_unit_is_not(bit):
     assert not is_observable([bit.unit, bit.unit], bit)
 
 
+def test_empty_tuple_is_not(bit):
+    # it sums to 0, not to the unit
+    assert not is_observable([], bit)
+
+
 def subset_sums_are_effects(outcomes, sys):
     """Brute force over all 2^n - 1 coarse-grainings: the oracle for
     ``is_observable``."""

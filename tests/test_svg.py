@@ -30,17 +30,13 @@ def rank_edges(vertices, facets):
     return edges
 
 
-def edges_of(p):
-    return polytope_edges(list(p.vertices), list(p.facets))
-
-
 def test_spekkens_octahedron_and_cube():
     spek = load("spekkens").gpt_system()
     octahedron = Polytope([QVec(v[:-1]) for v in spek.states.polytope.vertices])
     assert len(octahedron.vertices) == 6
-    assert len(edges_of(octahedron)) == 12
+    assert len(polytope_edges(octahedron)) == 12
     cube = Polytope([qvec(*c) for c in product((-1, 1), repeat=3)])
-    edges = edges_of(cube)
+    edges = polytope_edges(cube)
     assert len(edges) == 12
     # each cube edge joins vertices that differ in exactly one coordinate
     for i, j in edges:
@@ -50,9 +46,9 @@ def test_spekkens_octahedron_and_cube():
 
 def test_lower_dimensional_bodies():
     square = Polytope([qvec(0, 0, 1), qvec(1, 0, 1), qvec(0, 1, 1), qvec(1, 1, 1)])
-    assert len(edges_of(square)) == 4
+    assert len(polytope_edges(square)) == 4
     segment = Polytope([qvec(0, 0, 0), qvec(1, 2, 3)])
-    assert edges_of(segment) == [(0, 1)]
+    assert polytope_edges(segment) == [(0, 1)]
 
 
 def _random_points(gen, dim):
@@ -69,7 +65,7 @@ def test_random_polytopes_match_rank_oracle():
     for _ in range(150):
         p = Polytope(_random_points(gen, gen.choice([2, 3])))
         vertices, facets = list(p.vertices), list(p.facets)
-        assert polytope_edges(vertices, facets) == rank_edges(vertices, facets)
+        assert polytope_edges(p) == rank_edges(vertices, facets)
 
 
 _LABEL = re.compile(r'<text x="([-\d.]+)" y="([-\d.]+)" font-size="8" fill="#666">\(([^)]*)\)</text>')

@@ -17,7 +17,9 @@ from gptgeom.geometry import (
     set_equal,
     vrep_to_hrep,
 )
-from gptgeom.linalg import QVec, SingularMatrixError, qvec, rank, unit_vector, zero_vector
+from gptgeom.linalg import (
+    DimensionMismatchError, QVec, SingularMatrixError, qvec, rank, unit_vector, zero_vector,
+)
 from gptgeom.systems import (
     EffectSpace,
     GptClass,
@@ -90,6 +92,12 @@ def test_state_space_rejects_an_unnormalized_state():
     with pytest.raises(GptValidationError) as err:
         StateSpace(hull_reduce([qvec(0, 1), qvec(1, 2)]))
     assert _codes(err) == ["StateNormalizationViolated"]
+
+
+@pytest.mark.parametrize("unit", [qvec(1), qvec(0, 0, 1)])
+def test_state_space_rejects_a_unit_of_another_length(unit):
+    with pytest.raises(DimensionMismatchError):
+        StateSpace(hull_reduce([qvec(-1, 1), qvec(1, 1)]), unit)
 
 
 def test_check_system_reports_a_dimension_mismatch_alone():
