@@ -4,9 +4,13 @@ The single computational core is an integer double-description pass
 (:func:`_dd`): given homogeneous halfspaces ``{x : a.x >= 0}`` it returns
 the extreme rays of their intersection, each with its tight mask (bit ``i``
 set iff row ``i`` holds with equality on the ray), and a lineality basis.
-Facet enumeration, vertex enumeration, hull reduction and cone duality are
-all phrased as instances of this one primitive, and each result is read one
-way, which keeps the exactness argument in one place.  :func:`_irredundant`
+Facet enumeration, vertex enumeration, hull reduction and cone
+construction are all phrased as instances of this one primitive, and each
+result is read one way, which keeps the exactness argument in one place.
+The recovered state body W(E) of ``systems`` needs no pass: the dual of a
+cone given by its facet normals is generated by those normals, and the
+incidence pass that proves them irredundant is the one
+:func:`_packed_incidence` the proofs here use.  :func:`_irredundant`
 keeps the rows that are the only row tight on every ray tight at them:
 :func:`hull_reduce` reads the vertices from the facet masks of one pass over
 the lifted points, and :func:`hrep_to_vrep` the facets from the vertex masks
@@ -674,11 +678,13 @@ def slice_cone(c: Cone, normal, offset) -> Polytope:
 
 
 def set_equal(a, b) -> bool:
-    """Exact point-set equality for polytopes or cones."""
+    """Exact point-set equality for polytopes or cones.  Two polytopes are
+    equal iff their vertex rows are: each row is primitive, so the one key
+    of its vertex, and the rows are in vertex order."""
     if isinstance(a, Polytope) and isinstance(b, Polytope):
         if a.dim != b.dim:
             raise DimensionMismatchError("comparing polytopes of different dimension")
-        return a.vertices == b.vertices
+        return a.rows == b.rows
     if isinstance(a, Cone) and isinstance(b, Cone):
         if a.dim != b.dim:
             raise DimensionMismatchError("comparing cones of different dimension")

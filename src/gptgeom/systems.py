@@ -25,7 +25,6 @@ from .geometry import (
     _packed_signs,
     _vertex_order,
     hrep_to_vrep,
-    hull_reduce,
     set_equal,
 )
 from .linalg import (
@@ -148,8 +147,9 @@ def _state_axioms(polytope: Polytope, unit: QVec) -> list[Violation]:
 def _effect_axioms(polytope: Polytope, unit: QVec) -> list[Violation]:
     """The effect axioms, decided on the vertices' primitive rows (x, s),
     each the one key of its vertex x / s: with u = U / t, the row of
-    u - x / s is (s U - t x, s t) divided by its gcd.  The rank is one
-    Bareiss elimination of the rows' x parts."""
+    u - x / s is (s U - t x, s t) divided by its gcd.  Any dim independent
+    x parts prove the span, so Bareiss runs first on dim rows spread over
+    the vertex order, and on all rows only when those fall short."""
     out = []
     zero = zero_vector(polytope.dim)
     if not polytope.contains(zero) or not polytope.contains(unit):
@@ -164,7 +164,8 @@ def _effect_axioms(polytope: Polytope, unit: QVec) -> list[Violation]:
         if missing is not None:
             out.append(Violation("NotComplementClosed",
                                  f"complement of {missing} missing"))
-    if len(_bareiss([r[:-1] for r in polytope.rows], polytope.dim)[0]) < polytope.dim:
+    dim, rows = polytope.dim, [r[:-1] for r in polytope.rows]
+    if all(len(_bareiss(m, dim)[0]) < dim for m in (rows[::-(-len(rows) // dim)], rows)):
         out.append(Violation("DoesNotSpan",
                              "effects do not span the ambient space"))
     return out
@@ -446,21 +447,34 @@ def states_from_effects(effects: EffectSpace) -> Polytope:
     """All normalized vectors assigning nonnegative values to every effect;
     the state space a frame-function reconstruction can reach.
 
-    It is the unit-weight slice of the dual of cone(E), which the normals a
-    of E's facets through 0 generate: W(E) = conv{a / (u.a)}, one hull pass
-    with its integer self-check.  Empty when no u.a is positive (0 interior
-    to E), unbounded when some u.a is not (E fails to span).
+    It is the unit-weight slice of the dual of cone(E), which the distinct
+    normals a of E's facets through 0 generate, so W(E) = conv{a / (u.a)}.
+    No DD pass: by polar duality the dual's extreme rays are the irredundant
+    normals (Ziegler, Lectures on Polytopes, 1995, section 2), so every
+    point a / (u.a) is a vertex, which one packed pass proves.  It checks
+    a.v >= 0 for every normal a and vertex v of E, and :func:`_irredundant`
+    over the vertices' tight masks must keep every normal: were a_i a
+    nonnegative combination of other normals a_j, every vertex tight at a_i
+    would be tight at each a_j in it.  SelfCheckError otherwise.  The
+    facets of W(E) are derived on first read.  Empty when no u.a is
+    positive (0 interior to E), unbounded when some u.a is not (E fails
+    to span).
     """
-    normals = _cone_normals(effects)
+    normals = list(dict.fromkeys(_cone_normals(effects)))
     iu, su = as_integers(effects.unit)
     weights = [_idot(iu, a) for a in normals]  # su (u.a)
     if not any(w > 0 for w in weights):
         raise EmptyIntersectionError("recovered state body is empty: 0 is interior to E")
     if any(w <= 0 for w in weights):
         raise UnboundedError("recovered state body is unbounded: effect space fails to span")
-    # a / (u.a) = su a / (iu.a), no Fraction division
-    return hull_reduce([QVec._raw([Fraction(su * x, w) for x in a])
-                        for a, w in zip(normals, weights)])
+    found = list(_packed_incidence([(*a, 0) for a in normals], effects.polytope.rows))
+    if not (all(valid for valid, _ in found)
+            and len(_irredundant((m for _, m in found), len(normals))) == len(normals)):
+        raise SelfCheckError("a normal of cone(E) is invalid on E or redundant")
+    # a / (u.a) = su a / (iu.a), each normal's primitive row
+    vrows, pts = zip(*_vertex_order(dict.fromkeys(
+        _iprim((*(su * x for x in a), w)) for a, w in zip(normals, weights))))
+    return Polytope._raw(pts, rows=vrows)
 
 
 class GptClass(enum.Enum):
@@ -524,11 +538,12 @@ def admits_gtt(sys: GptSystem) -> bool:
     Computed twice: from the classification tag and from the direct
     recovered-states equality W(E) = S; SelfCheckError if they disagree.  The tag
     is read from the stored classification; W(E) is deliberately not
-    stored, so each call re-derives it as the hull of E's scaled facet
-    normals (one DD pass) and the cross-check stays independent of every
-    memo.  Both routes read E's kept facets through 0; the routes that do
-    not (a DD over E's vertices, ``positive_cone``) are compared with them
-    in the tests and by ``gptgeom suite``.
+    stored, so each call re-derives it from E's facet normals through 0
+    (:func:`states_from_effects`, no DD pass, one packed incidence proof)
+    and the cross-check stays independent of every memo.  Both routes read
+    E's kept facets through 0; the routes that do not (a DD over E's
+    vertices, ``positive_cone``) are compared with them in the tests and
+    by ``gptgeom suite``.
     """
     via_tag = classify(sys).admits_gtt
     via_w = set_equal(states_from_effects(sys.effects), sys.states.polytope)

@@ -3,10 +3,15 @@ stress tests for the enumeration core."""
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from gptgeom.gallery import polytopic_entries
 from gptgeom.geometry import (
     Cone,
+    EmptyIntersectionError,
     Halfspace,
+    UnboundedError,
     dual_cone,
     hrep_to_vrep,
     hull_reduce,
@@ -17,7 +22,15 @@ from gptgeom.geometry import (
 )
 from gptgeom.linalg import QVec, qvec
 from gptgeom.lp import hull_vertices_lp, in_convex_hull
-from gptgeom.systems import states_from_effects, unrestricted_effects
+from gptgeom.randomgen import random_system
+from gptgeom.smooth import AnuBit, NoisyRebit, Rebit, discretize
+from gptgeom.systems import (
+    EffectSpace,
+    Transform,
+    states_from_effects,
+    transform_system,
+    unrestricted_effects,
+)
 
 F = Fraction
 
@@ -66,6 +79,85 @@ def test_effect_map_routes_agree_on_random_states(random_systems):
         direct = unrestricted_effects(sys.states)
         via_cones = effect_body_via_cones(sys.states.polytope, sys.unit)
         assert set_equal(direct, via_cones)
+
+
+# -- W(E) read off cone(E) against the hull of the points a / (u.a) ---------------
+
+
+def _w_by_hull(effects):
+    """The hull route to W(E): one hull pass over the points a / (u.a) of
+    the normals a of E's facets through 0, with the same two errors."""
+    unit = effects.unit
+    normals = [QVec(h.normal) for h in effects.polytope.facets if h.ioffset == 0]
+    weights = [unit.dot(a) for a in normals]
+    if not any(w > 0 for w in weights):
+        raise EmptyIntersectionError("recovered state body is empty")
+    if any(w <= 0 for w in weights):
+        raise UnboundedError("recovered state body is unbounded")
+    return hull_reduce([a * (1 / w) for a, w in zip(normals, weights)])
+
+
+def _outcome(route, effects):
+    """The body's vertices and rows, or the type of the error raised."""
+    try:
+        body = route(effects)
+    except (EmptyIntersectionError, UnboundedError) as err:
+        return type(err)
+    return body.vertices, body.rows
+
+
+def _assert_routes_agree(effects):
+    got = _outcome(states_from_effects, effects)
+    assert got == _outcome(_w_by_hull, effects)
+    return got
+
+
+def _rational_transform(dim):
+    return Transform([[F(2, 3) if i == j else F(1, 2) if j == i + 1 else 0
+                       for j in range(dim)] for i in range(dim)])
+
+
+def test_w_routes_agree_on_the_gallery_and_its_images(gallery_systems):
+    for _, sys in gallery_systems:
+        for s in (sys, transform_system(sys, _rational_transform(sys.dim))):
+            assert isinstance(_assert_routes_agree(s.effects), tuple)
+
+
+def test_w_routes_agree_on_the_disc_families():
+    for family in (Rebit(), NoisyRebit(F(1, 2)), NoisyRebit(F(5, 7)), AnuBit()):
+        for n in range(3, 18):
+            vertices, _ = _assert_routes_agree(discretize(family, n).system.effects)
+            assert vertices
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 10 ** 6), st.integers(2, 5), st.booleans())
+def test_w_routes_agree_on_random_systems(seed, dim, moved):
+    sys = random_system(random.Random(seed), dim)
+    if moved:
+        sys = transform_system(sys, _rational_transform(dim))
+    assert isinstance(_assert_routes_agree(sys.effects), tuple)
+
+
+@settings(max_examples=150)
+@given(st.integers(2, 4).flatmap(lambda dim: st.tuples(
+    st.lists(st.tuples(*[st.integers(-3, 3)] * dim), min_size=1, max_size=7),
+    st.tuples(*[st.integers(-2, 2)] * dim).filter(any))))
+def test_w_routes_agree_on_bodies_through_0(case):
+    # any hull of 0 and a few points, with any unit: W(E), or both errors
+    points, unit = case
+    body = hull_reduce([QVec(p) for p in points] + [QVec((0,) * len(unit))])
+    _assert_routes_agree(EffectSpace._raw(body, QVec(unit)))
+
+
+def test_w_routes_raise_both_errors():
+    outcomes = set()
+    for points, unit in (([(1, 1), (-1, 1), (1, -1), (-1, -1)], (0, 1)),   # 0 interior
+                         ([(1, 0), (0, 1)], (1, -1)),                      # u.a < 0
+                         ([(1, 1, 0), (1, -1, 0)], (1, 0, 0))):            # flat
+        body = hull_reduce([QVec(p) for p in points] + [QVec((0,) * len(unit))])
+        outcomes.add(_assert_routes_agree(EffectSpace._raw(body, QVec(unit))))
+    assert outcomes == {EmptyIntersectionError, UnboundedError}
 
 
 # -- degenerate inputs -----------------------------------------------------------

@@ -125,7 +125,7 @@ def test_discretized_system_derives_es_once(dd_calls):
     assert classify(sys).tag is GptClass.UNRESTRICTED
     assert admits_gtt(sys)
     assert unrestricted_effects(sys.states) == sys.effects.polytope
-    assert len(dd_calls) == 1  # W(E), inside admits_gtt
+    assert dd_calls == []  # W(E), inside admits_gtt, is read off E's facets
 
 
 def test_classification_is_stored(dd_calls, gallery_systems):
@@ -140,12 +140,11 @@ def test_classification_is_stored(dd_calls, gallery_systems):
 def test_admits_gtt_derives_w_on_every_call(dd_calls):
     sys = _fresh(load("spekkens").gpt_system())
     classify(sys)
-    # W(E) is one hull pass with a row per facet of E through 0
-    through_zero = [h for h in sys.effects.polytope.facets if h.offset == 0]
+    # W(E) is re-derived on each call, from E's facets through 0 with no DD pass
     for _ in range(2):
         del dd_calls[:]
         assert admits_gtt(sys) is False
-        assert dd_calls == [len(through_zero)]
+        assert dd_calls == []
 
 
 def test_admits_gtt_catches_a_wrong_stored_tag():
@@ -153,6 +152,28 @@ def test_admits_gtt_catches_a_wrong_stored_tag():
     object.__setattr__(sys, "_classification", systems.Classification(GptClass.UNRESTRICTED))
     with pytest.raises(SelfCheckError):
         admits_gtt(sys)
+
+
+def _with_extra_normal(effects, combine):
+    """E's vertices and kept facets plus a facet through 0 whose normal is
+    combine(a1, a2) of E's first two normals through 0."""
+    a1, a2 = [h.inormal for h in effects.polytope.facets if h.ioffset == 0][:2]
+    extra = geometry._iprim(tuple(map(combine, a1, a2)))
+    body = Polytope._raw(effects.polytope.vertices,
+                         effects.polytope.facets + (Halfspace._from_ints(extra, 0),))
+    return systems.EffectSpace._raw(body, effects.unit), extra
+
+
+@pytest.mark.parametrize("name", ["spekkens", "squit", "bit", "noisy-bit"])
+def test_w_proof_rejects_a_redundant_or_invalid_normal(name):
+    effects = load(name).gpt_system().effects
+    redundant, _ = _with_extra_normal(effects, lambda x, y: x + y)
+    with pytest.raises(SelfCheckError):
+        systems.states_from_effects(redundant)
+    invalid, normal = _with_extra_normal(effects, lambda x, y: 3 * x - y)
+    assert any(geometry._idot(normal, r[:-1]) < 0 for r in effects.polytope.rows)
+    with pytest.raises(SelfCheckError):
+        systems.states_from_effects(invalid)
 
 
 def test_classified_system_compares_and_prints_the_same():
@@ -493,6 +514,12 @@ def test_hull_self_check_survives_optimized_mode():
         "smooth._circle_row = lambda j, m: (1, 0, 2 + j, 2 + j)\n"
         "if not fails(lambda: smooth.disc_polygon_states(5)):\n"
         "    sys.exit(7)\n"
+        "# W(E) of the bit with a redundant normal a1 + a2 through 0\n"
+        "a1, a2 = [h.inormal for h in full.facets if h.ioffset == 0]\n"
+        "extra = geometry.Halfspace(qvec(*a1) + qvec(*a2), 0)\n"
+        "redundant = geometry.Polytope._raw(full.vertices, full.facets + (extra,))\n"
+        "if not fails(lambda: systems.states_from_effects(systems.EffectSpace._raw(redundant, u))):\n"
+        "    sys.exit(11)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))

@@ -19,8 +19,8 @@ def test_scale_prints_times_and_passes_per_step():
     assert 0 < float(rows[0][-1]) <= float(rows[1][-1])
     for row in rows:
         assert all(float(x) >= 0 for x in row[1::2])
-        # E(S) in closed form, none to classify, one for W(E) in admits_gtt
-        assert row[2::2] == ["0", "0", "1"]
+        # E(S) in closed form, none to classify, none for W(E) in admits_gtt
+        assert row[2::2] == ["0", "0", "0"]
 
 
 def test_scale_prints_a_row_per_random_seed():
@@ -34,8 +34,29 @@ def test_scale_prints_a_row_per_random_seed():
     assert [row[0] for row in rows] == ["1", "2"]
     for row in rows:
         assert all(float(x) >= 0 for x in row[1::2])
-        # E(S) is stored while generating: none to classify, one for W(E)
-        assert int(row[2]) > 0 and row[4:7:2] == ["0", "1"]
+        # E(S) is stored while generating: none to classify, none for W(E)
+        assert int(row[2]) > 0 and row[4:7:2] == ["0", "0"]
+
+
+def test_scale_prints_the_median_min_and_max_of_repeated_runs():
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "scale.py"), "--family", "rebit", "--n", "8",
+         "--runs", "3"], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    header, *rows = [line.split("\t") for line in done.stdout.splitlines()]
+    steps = ("discretize", "classify", "admits_gtt")
+    assert header == ["n"] + [f"{s}_{c}" for s in steps
+                              for c in ("s", "min_s", "max_s", "dd")] + ["peak_rss_mb"]
+    assert [row[0] for row in rows] == ["8"]
+    cells = rows[0][1:-1]
+    for k in range(3):
+        median, low, high, dd = cells[4 * k:4 * k + 4]
+        assert 0 <= float(low) <= float(median) <= float(high)
+        assert dd == "0"
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "scale.py"), "--family", "rebit", "--n", "8",
+         "--runs", "0"], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
 
 
 def test_scale_rejects_arguments_of_the_other_family():

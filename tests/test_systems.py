@@ -20,6 +20,7 @@ from gptgeom.geometry import (
 from gptgeom.linalg import (
     DimensionMismatchError, QVec, SingularMatrixError, qvec, rank, unit_vector, zero_vector,
 )
+from gptgeom.smooth import NoisyRebit, discretize
 from gptgeom.systems import (
     EffectSpace,
     GptClass,
@@ -462,3 +463,25 @@ def test_integer_effect_axioms_find_a_flat_body(bodies):
         got = systems._effect_axioms(flat, unit)
         assert got == _fraction_effect_axioms(flat, unit)
         assert got == [Violation("DoesNotSpan", "effects do not span the ambient space")]
+
+
+def test_span_probe_falls_back_to_all_rows(monkeypatch):
+    calls = []
+    real = systems._bareiss
+    monkeypatch.setattr(systems, "_bareiss", lambda m, n: calls.append(len(m)) or real(m, n))
+    # the square [0, 1]^2 with unit (1, 1): the probe's rows, the first and
+    # the third vertex (0, 0) and (1, 0), have rank 1, all four rows rank 2
+    square = hull_reduce([qvec(0, 0), qvec(0, 1), qvec(1, 0), qvec(1, 1)])
+    assert systems._effect_axioms(square, qvec(1, 1)) == []
+    assert calls == [2, 4]
+    # a disc body's probe spans alone
+    body = discretize(NoisyRebit(F(1, 2)), 16).system.effects.polytope
+    del calls[:]
+    assert systems._effect_axioms(body, unit_vector(3)) == []
+    assert calls == [3]
+    # a flat body falls short on both
+    flat = hull_reduce([qvec(0, 0, 0), qvec(0, 0, 1), qvec(0, 1, 1), qvec(0, -1, 0)])
+    del calls[:]
+    assert systems._effect_axioms(flat, unit_vector(3)) == [
+        Violation("DoesNotSpan", "effects do not span the ambient space")]
+    assert calls == [2, 4]
