@@ -7,10 +7,10 @@ set iff row ``i`` holds with equality on the ray), and a lineality basis.
 Facet enumeration, vertex enumeration, hull reduction and cone
 construction are all phrased as instances of this one primitive, and each
 result is read one way, which keeps the exactness argument in one place.
-The recovered state body W(E) of ``systems`` needs no pass: the dual of a
-cone given by its facet normals is generated by those normals, and the
-incidence pass that proves them irredundant is the one
-:func:`_packed_incidence` the proofs here use.  :func:`_irredundant`
+The recovered state body W(E) in ``systems`` needs no pass: the dual of a
+cone given by its facet normals is generated by those normals, which one
+:func:`_packed_incidence` pass over the body's vertices proves
+irredundant.  :func:`_irredundant`
 keeps the rows that are the only row tight on every ray tight at them:
 :func:`hull_reduce` reads the vertices from the facet masks of one pass over
 the lifted points, and :func:`hrep_to_vrep` the facets from the vertex masks
