@@ -11,6 +11,7 @@ from gptgeom.geometry import (
     Cone,
     EmptyIntersectionError,
     Halfspace,
+    Polytope,
     UnboundedError,
     dual_cone,
     hrep_to_vrep,
@@ -121,6 +122,15 @@ def test_w_routes_agree_on_the_gallery_and_its_images(gallery_systems):
     for _, sys in gallery_systems:
         for s in (sys, transform_system(sys, _rational_transform(sys.dim))):
             assert isinstance(_assert_routes_agree(s.effects), tuple)
+
+
+def test_w_routes_agree_on_a_facet_listed_twice(gallery_systems):
+    for _, sys in gallery_systems:
+        body = sys.effects.polytope
+        through_0 = next(h for h in body.facets if h.ioffset == 0)
+        twice = EffectSpace._raw(Polytope._raw(body.vertices, body.facets + (through_0,)),
+                                 sys.unit)
+        assert _assert_routes_agree(twice) == _outcome(states_from_effects, sys.effects)
 
 
 def test_w_routes_agree_on_the_disc_families():

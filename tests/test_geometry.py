@@ -292,6 +292,17 @@ def test_set_equal_rejects_scaling():
     assert not set_equal(a, b)
 
 
+def test_set_equal_compares_every_vertex():
+    # sorted vertices (0, 0), (0, 1), (1, 0): each copy moves one of them
+    a = hull_reduce([qvec(0, 0), qvec(1, 0), qvec(0, 1)])
+    for moved in ([qvec(-1, 0), qvec(1, 0), qvec(0, 1)], [qvec(0, 0), qvec(1, 0), qvec(0, 2)],
+                  [qvec(0, 0), qvec(2, 0), qvec(0, 1)]):
+        b = hull_reduce(moved)
+        assert len(set(a.vertices) & set(b.vertices)) == 2
+        assert not set_equal(a, b) and not set_equal(b, a)
+    assert set_equal(a, hull_reduce([qvec(F(1, 2), F(1, 2)), qvec(0, 1), qvec(1, 0), qvec(0, 0)]))
+
+
 def test_contains():
     sq = hull_reduce([qvec(0, 0), qvec(1, 0), qvec(0, 1), qvec(1, 1)])
     assert sq.contains(sq.centroid())

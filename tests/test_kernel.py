@@ -176,6 +176,19 @@ def test_w_proof_rejects_a_redundant_or_invalid_normal(name):
         systems.states_from_effects(invalid)
 
 
+def test_w_proof_rejects_a_vertex_reported_on_the_wrong_side(monkeypatch):
+    # the true masks, with the first vertex's product pass marked invalid
+    real = systems._packed_incidence
+
+    def first_invalid(rows, vectors):
+        (_, mask), *rest = real(rows, vectors)
+        return iter([(False, mask)] + rest)
+
+    monkeypatch.setattr(systems, "_packed_incidence", first_invalid)
+    with pytest.raises(SelfCheckError):
+        systems.states_from_effects(load("squit").gpt_system().effects)
+
+
 def test_classified_system_compares_and_prints_the_same():
     sys = _fresh(load("noisy-bit").gpt_system())
     twin = systems.GptSystem(sys.states, sys.effects, sys.name)  # same parts, unclassified
