@@ -19,7 +19,6 @@ from .geometry import (
     dual_cone,
     hull_reduce,
     hrep_to_vrep,
-    polytope_intersect,
     positive_cone,
     set_equal,
     slice_cone,

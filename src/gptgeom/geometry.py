@@ -20,10 +20,11 @@ kernel as rows (x, s), s > 0, made points once by one sort, :func:`_vertex_order
 
 Before the adjacency scan, a pair of rays is dropped when its common tight
 set has fewer than ``dim - len(lin) - 2`` members (one popcount), a
-necessary condition for adjacency.  Membership tests run on primitive
-integer facets.  The method is still exponential in the worst case: a
-restricted random system of ambient dimension 7 takes seconds to
-generate, and dimension 8 is the current frontier.
+necessary condition for adjacency.  A :class:`Halfspace` holds only its
+primitive integer pair, on which membership tests run.  The method is
+still exponential in the worst case: a restricted random system of
+ambient dimension 7 takes seconds to generate, and dimension 8 is the
+current frontier.
 
 Every DD result is proved right on the rows it came from before it is
 read: each ray on the valid side of each row, each mask exactly the
@@ -194,38 +195,41 @@ def _irredundant(masks: Iterable[int], n: int) -> list[int]:
 
 
 class Halfspace:
-    """Closed halfspace {x : normal.x >= offset}.
+    """Closed halfspace {x : normal.x >= offset}, held as its primitive
+    integer pair (``inormal``, ``ioffset``): the positive multiple of the
+    given normal and offset with coprime entries, on which membership
+    tests and equality run.  ``normal`` and ``offset`` are a Fraction view
+    of the pair, so ``Halfspace((2, 0), 2).normal`` is (1, 0)."""
 
-    Besides the rational ``normal`` and ``offset`` it carries the primitive
-    integer pair (``inormal``, ``ioffset``), a positive multiple of them,
-    on which membership tests and equality run.
-    """
-
-    __slots__ = ("normal", "offset", "inormal", "ioffset")
+    __slots__ = ("inormal", "ioffset")
 
     def __init__(self, normal, offset):
-        self.normal = QVec(normal)
-        self.offset = as_fraction(offset)
-        if self.normal.is_zero():
+        normal, offset = QVec(normal), as_fraction(offset)
+        if normal.is_zero():
             raise ValueError("halfspace normal must be nonzero")
-        ints = integerize(tuple(self.normal) + (self.offset,))
+        ints = integerize(tuple(normal) + (offset,))
         self.inormal, self.ioffset = ints[:-1], ints[-1]
 
     @classmethod
     def _from_ints(cls, inormal: IntVec, ioffset: int) -> "Halfspace":
         """From a primitive integer pair with a nonzero normal."""
         h = object.__new__(cls)
-        h.normal = QVec._raw(map(Fraction, inormal))
-        h.offset = Fraction(ioffset)
         h.inormal, h.ioffset = inormal, ioffset
         return h
+
+    @property
+    def normal(self) -> QVec:
+        return QVec._raw(map(Fraction, self.inormal))
+
+    @property
+    def offset(self) -> Fraction:
+        return Fraction(self.ioffset)
 
     def evaluate(self, x: QVec) -> Fraction:
         return self.normal.dot(x) - self.offset
 
-    def holds(self, x: QVec, strict: bool = False) -> bool:
-        v = self.evaluate(x)
-        return v > 0 if strict else v >= 0
+    def holds(self, x: QVec) -> bool:
+        return self.evaluate(x) >= 0
 
     def __eq__(self, other):
         if not isinstance(other, Halfspace):
@@ -236,7 +240,7 @@ class Halfspace:
         return hash((self.inormal, self.ioffset))
 
     def __repr__(self):
-        return f"Halfspace(({', '.join(map(str, self.normal))}) . x >= {self.offset})"
+        return f"Halfspace(({', '.join(map(str, self.inormal))}) . x >= {self.ioffset})"
 
 
 class Polytope:
@@ -288,13 +292,11 @@ class Polytope:
             self._facets = tuple(vrep_to_hrep(self))
         return self._facets
 
-    def contains(self, x, strict: bool = False) -> bool:
+    def contains(self, x) -> bool:
         x = QVec(x)
         if len(x) != self.dim:
             raise DimensionMismatchError("point dimension differs from polytope")
         xi, s = as_integers(x)
-        if strict:
-            return all(_idot(h.inormal, xi) > h.ioffset * s for h in self.facets)
         return all(_idot(h.inormal, xi) >= h.ioffset * s for h in self.facets)
 
     def centroid(self) -> QVec:
@@ -359,15 +361,13 @@ class Cone:
         """Normals n with cone = {x : n.x >= 0 for all n}."""
         return self._halfspaces
 
-    def contains(self, x, strict: bool = False) -> bool:
+    def contains(self, x) -> bool:
         x = QVec(x)
         if self.is_trivial():
-            return x.is_zero() and not strict
+            return x.is_zero()
         if self._inormals is None:
             self._inormals = [integerize(n) for n in self.halfspaces]
         xi = integerize(x)
-        if strict:
-            return all(_idot(n, xi) > 0 for n in self._inormals)
         return all(_idot(n, xi) >= 0 for n in self._inormals)
 
     def is_trivial(self) -> bool:
@@ -608,8 +608,8 @@ def hrep_to_vrep(halfspaces: Sequence[Halfspace]) -> Polytope:
     """
     if not halfspaces:
         raise EmptyInputError("no halfspaces")
-    dim = halfspaces[0].normal.dim
-    if any(h.normal.dim != dim for h in halfspaces):
+    dim = len(halfspaces[0].inormal)
+    if any(len(h.inormal) != dim for h in halfspaces):
         raise DimensionMismatchError("halfspaces of mixed dimension")
     first: dict[IntVec, int] = {}  # each distinct row: its first input index
     for i, h in enumerate(halfspaces):
@@ -656,12 +656,6 @@ def cone_intersect(a: Cone, b: Cone) -> Cone:
     if not normals:
         raise EmptyInputError("cone intersection without constraints")
     return _cone_from_normals(normals, a.dim)
-
-
-def polytope_intersect(a: Polytope, b: Polytope) -> Polytope:
-    if a.dim != b.dim:
-        raise DimensionMismatchError("polytope intersection dimension mismatch")
-    return hrep_to_vrep(list(a.facets) + list(b.facets))
 
 
 def slice_cone(c: Cone, normal, offset) -> Polytope:

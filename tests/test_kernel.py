@@ -27,7 +27,7 @@ from gptgeom.geometry import (
     set_equal,
     vrep_to_hrep,
 )
-from gptgeom.linalg import DimensionMismatchError, QVec, integerize, qvec
+from gptgeom.linalg import DimensionMismatchError, ExactArithmeticError, QVec, integerize, qvec
 from gptgeom.lp import hull_vertices_lp, in_cone, in_convex_hull
 from gptgeom.randomgen import random_state_space, random_system
 from gptgeom.smooth import AnuBit, NoisyRebit, Rebit, discretize
@@ -580,8 +580,6 @@ def test_integer_contains_matches_fraction_and_lp(case):
     inside = p.contains(probe)
     assert inside == all(h.holds(probe) for h in p.facets)
     assert inside == in_convex_hull(probe, pts)
-    assert p.contains(probe, strict=True) == all(h.holds(probe, strict=True)
-                                                 for h in p.facets)
 
 
 @DRAWN
@@ -904,3 +902,27 @@ def test_primitive_integer_halfspace():
     assert (h.inormal, h.ioffset) == ((2, -3), 1)
     assert h.inormal + (h.ioffset,) == integerize(tuple(h.normal) + (h.offset,))
     assert h == Halfspace((2, -3), 1)
+
+
+def test_halfspace_holds_only_its_primitive_pair():
+    h = Halfspace((2, 0), 2)
+    assert h.normal == qvec(1, 0) and h.offset == 1
+    assert type(h.offset) is Fraction and all(type(c) is Fraction for c in h.normal)
+    assert h == Halfspace((1, 0), 1) and hash(h) == hash(Halfspace((1, 0), 1))
+    states = discretize(Rebit(), 6).system.states
+    full = unrestricted_effects(states)  # the polygon route
+    solid = unrestricted_effects(random_state_space(random.Random(3), 4))  # hrep_to_vrep
+    facets = [*hull_reduce([qvec(0, 0), qvec(1, 0), qvec(0, 1)]).facets, *full.facets,
+              *solid.facets, *systems.noisy_effects(full, states.unit, F(1, 2)).facets]
+    for f in facets:
+        assert type(f).__slots__ == ("inormal", "ioffset") and not hasattr(f, "__dict__")
+        assert type(f.inormal) is tuple and all(type(c) is int for c in f.inormal)
+        assert type(f.ioffset) is int
+
+
+def test_halfspace_rejects_floats_and_a_zero_normal():
+    for normal, offset in (((0.5, 1), 0), ((1, 0), 0.5)):
+        with pytest.raises(ExactArithmeticError):
+            Halfspace(normal, offset)
+    with pytest.raises(ValueError, match="nonzero"):
+        Halfspace((0, 0), 1)
